@@ -223,9 +223,9 @@ func BenchmarkSimulationMM1M(b *testing.B) {
 	b.ReportMetric(rob, "robustness_%")
 }
 
-// BenchmarkSimulationMM1MMaterialized is the same trial over the
-// materialize-everything path — the before picture the streaming bytes/op
-// win is measured against. Not part of the CI gate's baseline comparisons;
+// BenchmarkSimulationMM1MMaterialized is the same trial over a
+// materialized workload (Run over the whole task slice, no struct
+// recycled) — the picture the streaming bytes/op win is measured against. Not part of the CI gate's baseline comparisons;
 // it exists so `benchdiff` can show the ratio on demand.
 func BenchmarkSimulationMM1MMaterialized(b *testing.B) {
 	platform := mm1MPlatform(b)

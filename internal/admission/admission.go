@@ -18,12 +18,14 @@
 //  5. chance test — ChanceIfEnqueued against the fairness- and
 //     value-adjusted threshold decides accept / defer / drop.
 //
-// The decision path is the simulator's own: the same machine, pruner and
-// sched primitives, called in the same order (the golden tests in
-// golden_test.go pin bitwise equivalence). Steady-state Decide+Complete
-// cycles are allocation-free — task structs are recycled through a free
-// list, PMF buffers through the session's pmf.Scratch, and the eviction /
-// started-task report slices are session-owned and reused.
+// Steps 1-3 are core.Pruner.Sweep, the same function the simulator calls;
+// the session's callback turns each dropped task into an Eviction. Steps
+// 4-5 use the simulator's machine, pruner and sched primitives in the
+// simulator's order (the golden tests in golden_test.go pin bitwise
+// equivalence). Steady-state Decide+Complete cycles are allocation-free —
+// task structs are recycled through a free list, PMF buffers through the
+// session's pmf.Scratch, and the eviction / started-task report slices are
+// session-owned and reused.
 //
 // A Session is NOT safe for concurrent use; the Registry serializes HTTP
 // access per session under a per-session lock.
@@ -234,12 +236,6 @@ type Session struct {
 	// Reused report buffers (returned slices alias these).
 	evictBuf   []Eviction
 	startedBuf []int
-
-	// Predeclared DropPending predicates (closure allocation would defeat
-	// the zero-alloc decide path); they read sweepNow.
-	sweepNow      float64
-	dropMissed    func(machine.Entry) bool
-	dropLowChance func(machine.Entry) bool
 }
 
 // NewSession validates cfg and builds an idle session. Close must be called
@@ -302,11 +298,6 @@ func NewSession(cfg Config) (*Session, error) {
 		Machines: s.machines,
 		MeanExec: func(tt, j int) float64 { return matrix.MeanExec(tt, s.machines[j].TypeIndex()) },
 		Slots:    cfg.Slots,
-	}
-	s.dropMissed = func(e machine.Entry) bool { return e.Task.Missed(s.sweepNow) }
-	s.dropLowChance = func(e machine.Entry) bool {
-		chance := e.PCT.ProbLE(e.Task.Deadline)
-		return s.pruner.ShouldDropValued(chance, e.Task.Type, e.Task.Value)
 	}
 	return s, nil
 }
@@ -405,33 +396,14 @@ func (s *Session) evict(t *task.Task, j int, reason string) {
 	}
 }
 
-// sweep is the preamble of every mapping event (Figure 5 steps 1-6, exactly
-// the simulator's order): reactive sweep, Toggle consult, proactive sweep.
-func (s *Session) sweep(now float64) {
-	s.sweepNow = now
-	for j, m := range s.machines {
-		if m.Down() {
-			continue
-		}
-		for _, t := range m.DropPending(now, s.dropMissed) {
-			t.Status = task.StatusDroppedReactive
-			s.pruner.RecordReactiveDrop(t.Type)
-			s.evict(t, j, ReasonDeadlineMissed)
-		}
+// swept is the pruner's Sweep callback: it reports a task dropped from
+// machine queue j as an eviction.
+func (s *Session) swept(t *task.Task, j int) {
+	reason := ReasonDeadlineMissed
+	if t.Status == task.StatusDroppedProactive {
+		reason = ReasonLowChance
 	}
-	s.pruner.BeginEvent()
-	if s.pruner.DroppingEngaged() {
-		for j, m := range s.machines {
-			if m.Down() {
-				continue
-			}
-			for _, t := range m.DropPending(now, s.dropLowChance) {
-				t.Status = task.StatusDroppedProactive
-				s.pruner.RecordProactiveDrop(t.Type)
-				s.evict(t, j, ReasonLowChance)
-			}
-		}
-	}
+	s.evict(t, j, reason)
 }
 
 // start begins execution on every idle machine with pending work (the
@@ -461,7 +433,7 @@ func (s *Session) Decide(spec TaskSpec, now float64) (Decision, error) {
 	}
 	s.evictBuf = s.evictBuf[:0]
 	s.startedBuf = s.startedBuf[:0]
-	s.sweep(now)
+	s.pruner.Sweep(s.machines, now, s.swept)
 	d := s.decideOne(spec, now)
 	d.Evicted = s.evictBuf
 	return d, nil
@@ -485,7 +457,7 @@ func (s *Session) DecideBatch(specs []TaskSpec, now float64) ([]Decision, error)
 	}
 	s.evictBuf = s.evictBuf[:0]
 	s.startedBuf = s.startedBuf[:0]
-	s.sweep(now)
+	s.pruner.Sweep(s.machines, now, s.swept)
 	ds := make([]Decision, len(specs))
 	for i, spec := range specs {
 		ds[i] = s.decideOne(spec, now)
@@ -597,7 +569,7 @@ func (s *Session) Complete(taskID int, now float64) (Completion, error) {
 	s.recycle(done)
 	// A completion is a mapping event (Figure 5): sweep, then start the
 	// freed machine's next task.
-	s.sweep(now)
+	s.pruner.Sweep(s.machines, now, s.swept)
 	s.start(now)
 	c.Started = s.startedBuf
 	c.Evicted = s.evictBuf

@@ -18,7 +18,12 @@
 // this file holds the Pruner that composes them.
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"prunesim/internal/machine"
+	"prunesim/internal/task"
+)
 
 // Config is the "Pruning Configuration" input of Figure 4.
 type Config struct {
@@ -106,6 +111,12 @@ type Pruner struct {
 	acct *Accounting
 
 	engaged bool // dropping engaged for the current mapping event
+
+	// Sweep's DropPending predicates, bound once in New (a closure built
+	// per call would allocate on every mapping event); they read sweepNow.
+	sweepNow  float64
+	missed    func(machine.Entry) bool
+	lowChance func(machine.Entry) bool
 }
 
 // New constructs a Pruner. It panics if cfg fails validation (a
@@ -115,12 +126,17 @@ func New(cfg Config) *Pruner {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Pruner{
+	p := &Pruner{
 		cfg:  cfg,
 		tog:  NewToggle(cfg.DropMode, cfg.DropAlpha),
 		fair: NewFairness(cfg.NumTaskTypes, cfg.FairnessFactor),
 		acct: NewAccounting(cfg.NumTaskTypes),
 	}
+	p.missed = func(e machine.Entry) bool { return e.Task.Missed(p.sweepNow) }
+	p.lowChance = func(e machine.Entry) bool {
+		return p.ShouldDropValued(e.PCT.ProbLE(e.Task.Deadline), e.Task.Type, e.Task.Value)
+	}
+	return p
 }
 
 // Config returns the active configuration.
@@ -139,6 +155,41 @@ func (p *Pruner) Fairness() *Fairness { return p.fair }
 func (p *Pruner) BeginEvent() {
 	p.engaged = p.cfg.Enabled && p.tog.Engaged(p.acct.MissesSinceEvent())
 	p.acct.ResetEventWindow()
+}
+
+// Sweep runs Figure 5 steps 1-6 over the machine queues ms at time now:
+// the reactive sweep of tasks whose deadlines passed, the Toggle consult
+// (BeginEvent), and — with dropping engaged — the proactive sweep of tasks
+// whose chance of success is at or below their threshold. Each dropped
+// task gets its terminal status (StatusDroppedReactive or
+// StatusDroppedProactive) and its accounting before evict is called with
+// it and the index of its machine in ms; evict must retire the task, which
+// is no longer referenced by any queue.
+//
+// Reactive drops from queues the caller owns (the simulator's arrival
+// queue) must be recorded before Sweep, so the Toggle sees them in this
+// event. evict does not escape, so a method value costs no allocation, and
+// Sweep allocates nothing unless a task is dropped.
+func (p *Pruner) Sweep(ms []*machine.Machine, now float64, evict func(t *task.Task, machine int)) {
+	p.sweepNow = now
+	for j, m := range ms {
+		for _, t := range m.DropPending(now, p.missed) {
+			t.Status = task.StatusDroppedReactive
+			p.RecordReactiveDrop(t.Type)
+			evict(t, j)
+		}
+	}
+	p.BeginEvent()
+	if !p.engaged {
+		return
+	}
+	for j, m := range ms {
+		for _, t := range m.DropPending(now, p.lowChance) {
+			t.Status = task.StatusDroppedProactive
+			p.RecordProactiveDrop(t.Type)
+			evict(t, j)
+		}
+	}
 }
 
 // DroppingEngaged reports whether proactive dropping is active for the

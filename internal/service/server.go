@@ -53,6 +53,7 @@ import (
 
 	"prunesim/internal/admission"
 	"prunesim/internal/scenario"
+	"prunesim/internal/store"
 	"prunesim/internal/tenant"
 	"prunesim/internal/timeline"
 	"prunesim/internal/trace"
@@ -74,7 +75,7 @@ type Config struct {
 	// server takes ownership: Close tears it down. Persistent deployments
 	// pass a disk-backed store (store.OpenDisk), optionally size-bounded
 	// with store.NewLRU.
-	Store Store
+	Store store.Store
 	// Tenants is the multi-tenancy registry: API keys, per-tenant token
 	// buckets, QPS accounting and in-flight job caps, enforced uniformly
 	// on every /v1 endpoint. Default is a registry with only an unlimited
@@ -122,7 +123,7 @@ type engineRunner interface {
 // with Close. Safe for concurrent use.
 type Server struct {
 	engine   engineRunner
-	store    Store
+	store    store.Store
 	metrics  *Metrics
 	library  map[string]scenario.Scenario
 	libSeq   []scenario.Scenario
@@ -163,9 +164,8 @@ func New(cfg Config) *Server {
 	if workers < 0 {
 		workers = 0
 	}
-	store := cfg.Store
-	if store == nil {
-		store = NewMemoryStore()
+	if cfg.Store == nil {
+		cfg.Store = store.NewMemory()
 	}
 	if cfg.TimelineInterval == 0 {
 		cfg.TimelineInterval = time.Second
@@ -180,7 +180,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		engine:           scenario.NewEngine(cfg.Parallelism),
-		store:            store,
+		store:            cfg.Store,
 		metrics:          newMetrics(),
 		library:          make(map[string]scenario.Scenario, len(cfg.Library)),
 		queue:            make(chan *Job, cfg.QueueCapacity),

@@ -14,6 +14,7 @@ import (
 	scenarios "prunesim/examples/scenarios"
 	"prunesim/internal/scenario"
 	"prunesim/internal/service"
+	"prunesim/internal/store"
 )
 
 // smokeScenario returns the shipped service_smoke scenario from the
@@ -131,7 +132,7 @@ func TestEndToEndSubmitPollCache(t *testing.T) {
 	}
 
 	// Byte-identical to the CLI path: cmd/hcsim runs scenarios through a
-	// fresh engine's Run (prunesim.RunScenario).
+	// fresh engine's Run (prunesim.NewStudy(sc).Run()).
 	direct, err := scenario.NewEngine(0).Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -572,7 +573,7 @@ func TestCloseRejectsSubmissions(t *testing.T) {
 
 // TestMemoryStore covers the default Store implementation.
 func TestMemoryStore(t *testing.T) {
-	st := service.NewMemoryStore()
+	st := store.NewMemory()
 	if _, ok := st.Get("k"); ok || st.Len() != 0 {
 		t.Fatal("empty store not empty")
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"prunesim/internal/eventq"
 	"prunesim/internal/machine"
-	"prunesim/internal/pmf"
 	"prunesim/internal/sched"
 	"prunesim/internal/task"
 )
@@ -28,70 +27,6 @@ func (s *simulator) emitChance(kind TraceKind, t *task.Task, mach int, onTime bo
 	})
 }
 
-func (s *simulator) run() (*Result, error) {
-	// Borrow a PMF buffer pool for the whole trial: every convolution of
-	// every machine reuses buffers, and sweeps recycle them across trials.
-	s.scratch = pmf.GetScratch()
-	defer func() {
-		for _, m := range s.machines {
-			m.SetScratch(nil)
-		}
-		pmf.PutScratch(s.scratch)
-		s.scratch = nil
-	}()
-	for _, m := range s.machines {
-		m.SetScratch(s.scratch)
-	}
-	// Platform events are pushed before arrivals so that at equal
-	// timestamps the platform change pops first (FIFO tie-break): a machine
-	// failing at time t never executes a task arriving at t.
-	for i, pe := range s.cfg.Events {
-		s.events.Push(eventq.Event{Time: pe.Time, Kind: eventq.KindPlatform, TaskID: i, Machine: -1})
-	}
-	for _, t := range s.tasks {
-		t.Status = task.StatusUnarrived
-		t.Machine = -1
-		t.Start, t.Completion = 0, 0
-		t.Deferrals = 0
-		t.Mark = 0
-		s.events.Push(eventq.Event{Time: t.Arrival, Kind: eventq.KindArrival, TaskID: t.ID, Machine: -1})
-	}
-	for s.events.Len() > 0 {
-		e := s.events.Pop()
-		if s.cfg.Clock != nil {
-			s.cfg.Clock.Advance(e.Time)
-		}
-		s.now = e.Time
-		var arrived *task.Task
-		switch e.Kind {
-		case eventq.KindArrival:
-			t := s.tasks[e.TaskID]
-			t.Status = task.StatusBatchQueued
-			s.emit(TraceArrived, t, -1, false)
-			if s.cfg.Mode == BatchMode {
-				s.batch = append(s.batch, t)
-			} else {
-				arrived = t
-			}
-		case eventq.KindCompletion:
-			if e.Gen != s.gen[e.Machine] {
-				// The machine failed after scheduling this completion; the
-				// task was orphaned and requeued. Nothing happened now.
-				continue
-			}
-			s.handleCompletion(e.Machine)
-		case eventq.KindPlatform:
-			s.handlePlatform(s.cfg.Events[e.TaskID])
-		}
-		s.mappingEvent(arrived)
-	}
-	s.finalize()
-	if err := s.res.conservationError(); err != nil {
-		panic(err) // invariant violation: a simulator bug, not bad input
-	}
-	return &s.res, nil
-}
-
 // handleCompletion finishes the running task on machine j and feeds the
 // pruner's accounting.
 func (s *simulator) handleCompletion(j int) {
@@ -112,29 +47,33 @@ func (s *simulator) handleCompletion(j int) {
 }
 
 // retire processes a task the moment its outcome is final: it feeds the
-// optional fixed-size aggregates and — on the streaming path — tallies the
-// outcome and hands the struct back to the source for reuse. The task must
-// no longer be referenced by any queue. On the materialized path (other
-// than aggregation) it is a no-op: finalize scans the task slice instead.
+// optional fixed-size aggregates, tallies the outcome and hands the struct
+// back to the source for reuse. The task must no longer be referenced by
+// any queue.
 func (s *simulator) retire(t *task.Task) {
 	if s.cfg.Aggregates != nil {
 		s.cfg.Aggregates.observe(t, s.now)
 	}
-	if s.stream == nil {
-		return
-	}
 	s.recordOutcome(t)
+}
+
+// swept is the pruner's Sweep callback: it reports a task dropped from
+// machine queue j and retires it.
+func (s *simulator) swept(t *task.Task, j int) {
+	kind := TraceDroppedReactive
+	if t.Status == task.StatusDroppedProactive {
+		kind = TraceDroppedProactive
+	}
+	s.emit(kind, t, j, false)
+	s.retire(t)
 }
 
 // mappingEvent implements Figure 5. arrived is non-nil only in immediate
 // mode, where the triggering arrival must be mapped within its own event.
 func (s *simulator) mappingEvent(arrived *task.Task) {
 	s.res.MappingEvents++
-	s.reactiveSweep()
-	s.pruner.BeginEvent()
-	if s.pruner.DroppingEngaged() {
-		s.proactiveDrop()
-	}
+	s.sweepArrivals()
+	s.pruner.Sweep(s.machines, s.now, s.swept)
 	if s.cfg.Mode == ImmediateMode {
 		if arrived != nil {
 			s.batch = append(s.batch, arrived)
@@ -179,55 +118,31 @@ func (s *simulator) immediateMap() {
 	}
 }
 
-// reactiveSweep drops every queued task whose deadline has already passed
-// (Figure 5 step 1) — the baseline behaviour of the system, active with or
-// without the pruning mechanism.
-func (s *simulator) reactiveSweep() {
-	// In immediate mode the arrival queue is non-empty only when platform
-	// events parked or requeued tasks; they age like batch-queued tasks.
-	if len(s.batch) > 0 {
-		kept := s.batch[:0]
-		for _, t := range s.batch {
-			if t.Missed(s.now) {
-				t.Status = task.StatusDroppedReactive
-				s.pruner.RecordReactiveDrop(t.Type)
-				s.emit(TraceDroppedReactive, t, -1, false)
-				s.retire(t)
-				continue
-			}
-			kept = append(kept, t)
-		}
-		for i := len(kept); i < len(s.batch); i++ {
-			s.batch[i] = nil
-		}
-		s.batch = kept
+// sweepArrivals drops every arrival-queue task whose deadline has already
+// passed (Figure 5 step 1 on the queue the simulator owns; the pruner's
+// Sweep covers the machine queues) — the baseline behaviour of the system,
+// active with or without the pruning mechanism. In immediate mode the
+// arrival queue is non-empty only when platform events parked or requeued
+// tasks; they age like batch-queued tasks.
+func (s *simulator) sweepArrivals() {
+	if len(s.batch) == 0 {
+		return
 	}
-	for _, m := range s.machines {
-		for _, t := range m.DropPending(s.now, func(e machine.Entry) bool {
-			return e.Task.Missed(s.now)
-		}) {
+	kept := s.batch[:0]
+	for _, t := range s.batch {
+		if t.Missed(s.now) {
 			t.Status = task.StatusDroppedReactive
 			s.pruner.RecordReactiveDrop(t.Type)
-			s.emit(TraceDroppedReactive, t, t.Machine, false)
+			s.emit(TraceDroppedReactive, t, -1, false)
 			s.retire(t)
+			continue
 		}
+		kept = append(kept, t)
 	}
-}
-
-// proactiveDrop evicts machine-queued tasks whose chance of success is at or
-// below the fairness-adjusted threshold (Figure 5 steps 4-6).
-func (s *simulator) proactiveDrop() {
-	for _, m := range s.machines {
-		for _, t := range m.DropPending(s.now, func(e machine.Entry) bool {
-			chance := e.PCT.ProbLE(e.Task.Deadline)
-			return s.pruner.ShouldDropValued(chance, e.Task.Type, e.Task.Value)
-		}) {
-			t.Status = task.StatusDroppedProactive
-			s.pruner.RecordProactiveDrop(t.Type)
-			s.emit(TraceDroppedProactive, t, t.Machine, false)
-			s.retire(t)
-		}
+	for i := len(kept); i < len(s.batch); i++ {
+		s.batch[i] = nil
 	}
+	s.batch = kept
 }
 
 // batchMap runs the mapping heuristic over the arrival queue and applies
@@ -346,56 +261,4 @@ func (s *simulator) totalFreeSlots() int {
 		}
 	}
 	return free
-}
-
-// finalize resolves tasks still queued when the event stream dries up (they
-// can never run: no event will ever map or start them) and computes the
-// counted-window statistics.
-func (s *simulator) finalize() {
-	for _, t := range s.tasks {
-		if t.Status == task.StatusBatchQueued || t.Status == task.StatusMachineQueued {
-			if t.Missed(s.now) {
-				t.Status = task.StatusDroppedReactive
-			}
-			if s.cfg.Aggregates != nil {
-				s.cfg.Aggregates.observe(t, s.now)
-			}
-		}
-	}
-	lo := s.cfg.ExcludeBoundary
-	hi := len(s.tasks) - s.cfg.ExcludeBoundary
-	s.res.TotalTasks = len(s.tasks)
-	for _, t := range s.tasks {
-		if t.ID < lo || t.ID >= hi {
-			continue
-		}
-		s.res.Counted++
-		value := t.Value
-		if value <= 0 {
-			value = 1
-		}
-		s.res.ValueTotal += value
-		switch t.Status {
-		case task.StatusCompletedOnTime:
-			s.res.OnTime++
-			s.res.ValueOnTime += value
-			s.res.PerTypeOnTime[t.Type]++
-		case task.StatusCompletedLate:
-			s.res.Late++
-		case task.StatusDroppedReactive:
-			s.res.DroppedReactive++
-			s.res.PerTypeDropped[t.Type]++
-		case task.StatusDroppedProactive:
-			s.res.DroppedProactive++
-			s.res.PerTypeDropped[t.Type]++
-		default:
-			s.res.Unfinished++
-		}
-	}
-	if s.res.Counted > 0 {
-		s.res.Robustness = 100 * float64(s.res.OnTime) / float64(s.res.Counted)
-	}
-	if s.res.ValueTotal > 0 {
-		s.res.WeightedRobustness = 100 * s.res.ValueOnTime / s.res.ValueTotal
-	}
 }

@@ -384,25 +384,55 @@ func (r *Result) conservationError() error {
 	return nil
 }
 
-// Run executes one simulation over the given materialized workload. The
-// task structs are reset and mutated in place (generate a fresh workload per
-// run if you need the originals). It returns an error for configuration
-// mistakes; invariant violations panic, as they indicate bugs, not bad
-// input. For memory-bounded trials over large workloads, use RunStream.
+// Run executes one simulation over the given materialized workload. Task
+// IDs must be 0..n-1 in slice order and arrival times must not decrease;
+// anything else is rejected before the run. The tasks are fed through the
+// same loop as RunStream and are not recycled: each struct is reset on
+// arrival and keeps its final status, machine and times afterwards
+// (generate a fresh workload per run if you need the originals). It
+// returns an error for configuration mistakes; invariant violations panic,
+// as they indicate bugs, not bad input.
 func Run(matrix *pet.Matrix, tasks []*task.Task, cfg Config) (*Result, error) {
-	s, err := newSimulator(matrix, tasks, cfg)
-	if err != nil {
-		return nil, err
+	for i, t := range tasks {
+		switch {
+		case t == nil:
+			return nil, fmt.Errorf("sim: task %d is nil", i)
+		case t.ID != i:
+			return nil, fmt.Errorf("sim: task at index %d has ID %d (IDs must be 0..n-1 in arrival order)", i, t.ID)
+		case i > 0 && t.Arrival < tasks[i-1].Arrival:
+			return nil, fmt.Errorf("sim: task %d arrives at %v, before task %d at %v (arrivals must not decrease)",
+				i, t.Arrival, i-1, tasks[i-1].Arrival)
+		}
 	}
-	return s.run()
+	if cfg.AutoExcludeBoundary && cfg.ExcludeBoundary >= 0 && len(tasks) <= 2*cfg.ExcludeBoundary+1 {
+		cfg.ExcludeBoundary = len(tasks) / 4
+	}
+	if cfg.ExcludeBoundary < 0 || 2*cfg.ExcludeBoundary >= len(tasks) {
+		return nil, fmt.Errorf("sim: ExcludeBoundary %d out of range for %d tasks", cfg.ExcludeBoundary, len(tasks))
+	}
+	return RunStream(matrix, &sliceSource{tasks: tasks}, cfg)
+}
+
+// sliceSource is Run's TaskSource. It has no Recycle method, so the
+// caller's task structs survive the run.
+type sliceSource struct {
+	tasks []*task.Task
+	next  int
+}
+
+func (s *sliceSource) Next() (*task.Task, bool) {
+	if s.next == len(s.tasks) {
+		return nil, false
+	}
+	s.next++
+	return s.tasks[s.next-1], true
 }
 
 // RunStream executes one simulation pulling tasks incrementally from src,
 // with memory bounded by the in-flight window plus fixed aggregator state —
-// never by the total task count. The Result is bitwise-identical to Run on
-// the materialized equivalent of the same source. If src implements
-// TaskRecycler, every task is handed back the moment its outcome is
-// tallied. It returns ErrNoTasks (wrapped) when the source yields nothing.
+// never by the total task count. If src implements TaskRecycler, every
+// task is handed back the moment its outcome is tallied. It returns
+// ErrNoTasks (wrapped) when the source yields nothing.
 func RunStream(matrix *pet.Matrix, src TaskSource, cfg Config) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("sim: nil task source")
@@ -415,14 +445,13 @@ func RunStream(matrix *pet.Matrix, src TaskSource, cfg Config) (*Result, error) 
 		return nil, fmt.Errorf("sim: ExcludeBoundary %d must be non-negative", s.cfg.ExcludeBoundary)
 	}
 	rec, _ := src.(TaskRecycler)
-	s.stream = &streamState{src: src, rec: rec, pending: make(map[int]outcome)}
+	s.stream = streamState{src: src, rec: rec, pending: make(map[int]outcome)}
 	return s.runStream()
 }
 
 type simulator struct {
 	matrix   *pet.Matrix
 	cfg      Config
-	tasks    []*task.Task
 	machines []*machine.Machine
 	batch    []*task.Task // arrival queue (batch mode)
 	imm      sched.Immediate
@@ -432,7 +461,7 @@ type simulator struct {
 	now      float64
 
 	// scratch recycles PMF buffers across every convolution of the trial;
-	// it is borrowed from the process-wide pool for the duration of run().
+	// it is borrowed from the process-wide pool for the duration of the run.
 	scratch *pmf.Scratch
 	// ctx is the reusable heuristic context (only Now changes per event).
 	ctx sched.Context
@@ -441,9 +470,8 @@ type simulator struct {
 	// durRNG is the reusable execution-time sampler, reseeded per task start
 	// (see sampleDuration).
 	durRNG *randx.RNG
-	// stream is the incremental-consumption state; nil on the materialized
-	// Run path.
-	stream *streamState
+	// stream is the task source and counted-window tally state.
+	stream streamState
 
 	// Platform-event state. gen[j] is machine j's generation: bumped on
 	// every failure so completion events scheduled before the failure pop
@@ -465,26 +493,9 @@ type stretchKey struct {
 	factorBits  uint64
 }
 
-// newSimulator builds the materialized-path simulator over a task slice.
-func newSimulator(matrix *pet.Matrix, tasks []*task.Task, cfg Config) (*simulator, error) {
-	s, err := newSimCore(matrix, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.AutoExcludeBoundary && cfg.ExcludeBoundary >= 0 && len(tasks) <= 2*cfg.ExcludeBoundary+1 {
-		s.cfg.ExcludeBoundary = len(tasks) / 4
-	}
-	if s.cfg.ExcludeBoundary < 0 || 2*s.cfg.ExcludeBoundary >= len(tasks) {
-		return nil, fmt.Errorf("sim: ExcludeBoundary %d out of range for %d tasks", s.cfg.ExcludeBoundary, len(tasks))
-	}
-	s.tasks = tasks
-	return s, nil
-}
-
-// newSimCore builds everything both the materialized and the streaming path
-// share: machine set, heuristic wiring, pruner, platform-event validation.
-// ExcludeBoundary is validated by the callers — the streaming path learns
-// the task total only at the end of the trial.
+// newSimCore validates cfg and builds the machine set, heuristic wiring
+// and pruner. ExcludeBoundary is validated by the callers: a stream's task
+// total is known only at the end of the trial.
 func newSimCore(matrix *pet.Matrix, cfg Config) (*simulator, error) {
 	if matrix == nil {
 		return nil, fmt.Errorf("sim: nil PET matrix")

@@ -8,26 +8,30 @@ import (
 	"prunesim/internal/task"
 )
 
-// The streaming path: RunStream pulls tasks from a TaskSource one at a time
-// and retires each the moment its outcome is final, so a trial's live memory
-// is O(in-flight tasks + fixed aggregator state) instead of O(total tasks).
+// The event loop. Run and RunStream both pull tasks from a TaskSource one
+// at a time and retire each the moment its outcome is final, so a trial's
+// live memory is O(in-flight tasks + fixed aggregator state) instead of
+// O(total tasks) whenever the source recycles tasks.
 //
-// Two invariants make the Result bitwise-identical to the materialized Run:
+// Two invariants keep the Result bitwise-identical to the materialized
+// reference semantics (every arrival pushed into the event queue up front,
+// the counted window tallied by an ID-order scan at the end; the package
+// tests keep that loop as an oracle):
 //
-//  1. Event order. Run pushes platform events first and all arrivals second
-//     at init (completions join during the run), so its (time, insertion)
+//  1. Event order. With platform events pushed first and all arrivals
+//     second at init (completions join during the run), a (time, insertion)
 //     heap resolves an equal-time tie as platform < arrival < completion.
-//     The streaming loop reproduces this with a one-task lookahead racing
-//     the queue head: an arrival at the queue head's timestamp goes first
-//     unless the head is a platform event.
+//     The loop reproduces this with a one-task lookahead racing the queue
+//     head: an arrival at the queue head's timestamp goes first unless the
+//     head is a platform event.
 //
-//  2. Tally order. Run's finalize accumulates the counted window's floats
-//     (ValueTotal, ValueOnTime) by ascending task ID. The streaming tally
-//     buffers out-of-order outcomes in a small pending map and folds them
-//     in strictly increasing ID order, holding back IDs near the trailing
-//     exclusion boundary until enough later arrivals prove them inside the
-//     window. The map holds at most the out-of-order window plus
-//     ExcludeBoundary stalled entries — never the whole workload.
+//  2. Tally order. The counted window's floats (ValueTotal, ValueOnTime)
+//     accumulate by ascending task ID. The tally buffers out-of-order
+//     outcomes in a small pending map and folds them in strictly
+//     increasing ID order, holding back IDs near the trailing exclusion
+//     boundary until enough later arrivals prove them inside the window.
+//     The map holds at most the out-of-order window plus ExcludeBoundary
+//     stalled entries — never the whole workload.
 
 // outcome is the fixed-size record of one finished task — everything the
 // counted-window tally needs after the struct is recycled.
@@ -37,7 +41,7 @@ type outcome struct {
 	value  float64
 }
 
-// streamState is the incremental-consumption state of one RunStream trial.
+// streamState is the task source and tally state of one trial.
 type streamState struct {
 	src TaskSource
 	rec TaskRecycler // src's recycler, nil if it has none
@@ -54,7 +58,7 @@ type streamState struct {
 // pullArrival advances the lookahead, enforcing the source contract: IDs
 // sequential from 0 in yield order, arrival times non-decreasing.
 func (s *simulator) pullArrival() error {
-	st := s.stream
+	st := &s.stream
 	t, ok := st.src.Next()
 	if !ok {
 		st.nextArr = nil
@@ -75,7 +79,7 @@ func (s *simulator) pullArrival() error {
 // recordOutcome captures a task's final outcome, recycles the struct if the
 // source reuses tasks, and folds whatever the window now allows.
 func (s *simulator) recordOutcome(t *task.Task) {
-	st := s.stream
+	st := &s.stream
 	st.pending[t.ID] = outcome{status: t.Status, typ: t.Type, value: t.Value}
 	if st.rec != nil {
 		st.rec.Recycle(t)
@@ -84,7 +88,7 @@ func (s *simulator) recordOutcome(t *task.Task) {
 }
 
 // drainOutcomes folds recorded outcomes into the Result in strictly
-// increasing ID order — finalize's float summation order. An ID folds only
+// increasing ID order — the float summation order. An ID folds only
 // once its window membership is certain:
 //
 //   - maxArrived >= 2*lo+1 proves the final total exceeds 2*lo+1, so the
@@ -94,7 +98,7 @@ func (s *simulator) recordOutcome(t *task.Task) {
 //
 // Everything else waits for finalizeStream's exact-total drain.
 func (s *simulator) drainOutcomes() {
-	st := s.stream
+	st := &s.stream
 	lo := s.cfg.ExcludeBoundary
 	maxID := st.arrived - 1
 	if maxID < 2*lo+1 {
@@ -113,8 +117,7 @@ func (s *simulator) drainOutcomes() {
 	}
 }
 
-// tallyOutcome adds one counted-window outcome to the Result, mirroring
-// finalize's per-task accounting exactly.
+// tallyOutcome adds one counted-window outcome to the Result.
 func (s *simulator) tallyOutcome(o outcome) {
 	s.res.Counted++
 	value := o.value
@@ -140,7 +143,8 @@ func (s *simulator) tallyOutcome(o outcome) {
 	}
 }
 
-// runStream is run() for the incremental path.
+// runStream is the event loop: it races the source's next arrival against
+// the event queue until both are exhausted, then finalizes the tally.
 func (s *simulator) runStream() (*Result, error) {
 	s.scratch = pmf.GetScratch()
 	defer func() {
@@ -156,7 +160,7 @@ func (s *simulator) runStream() (*Result, error) {
 	for i, pe := range s.cfg.Events {
 		s.events.Push(eventq.Event{Time: pe.Time, Kind: eventq.KindPlatform, TaskID: i, Machine: -1})
 	}
-	st := s.stream
+	st := &s.stream
 	if err := s.pullArrival(); err != nil {
 		return nil, err
 	}
@@ -203,8 +207,9 @@ func (s *simulator) runStream() (*Result, error) {
 		}
 		s.now = t.Arrival
 		st.arrived++
-		// Mirror the materialized path's per-task reset; arena-fresh tasks
-		// are already in this state.
+		// Reset the struct's simulation state (a slice-backed source may
+		// hand in tasks of an earlier run); arena-fresh tasks are already
+		// in this state.
 		t.Status = task.StatusBatchQueued
 		t.Machine = -1
 		t.Start, t.Completion = 0, 0
@@ -233,8 +238,9 @@ func (s *simulator) runStream() (*Result, error) {
 }
 
 // finalizeStream resolves tasks still queued when the event stream dries up
-// (mirroring finalize: no pruner accounting, no trace events) and drains the
-// tally with the now-known task total.
+// (they can never run: no event will ever map or start them; no pruner
+// accounting, no trace events) and drains the tally with the now-known
+// task total.
 func (s *simulator) finalizeStream() error {
 	for _, t := range s.batch {
 		if t.Missed(s.now) {
@@ -266,7 +272,7 @@ func (s *simulator) finalizeStream() error {
 			s.recordOutcome(t)
 		}
 	}
-	st := s.stream
+	st := &s.stream
 	total := st.arrived
 	if total == 0 {
 		return fmt.Errorf("%w", ErrNoTasks)

@@ -14,22 +14,6 @@ import (
 	"prunesim/internal/workload"
 )
 
-// stubSource yields pre-materialized tasks — the smallest possible
-// TaskSource, with no recycling.
-type stubSource struct {
-	tasks []*task.Task
-	i     int
-}
-
-func (s *stubSource) Next() (*task.Task, bool) {
-	if s.i >= len(s.tasks) {
-		return nil, false
-	}
-	t := s.tasks[s.i]
-	s.i++
-	return t, true
-}
-
 // requireSameResult compares two Results field-for-field (bitwise on
 // floats — the equivalence the streaming path promises).
 func requireSameResult(t *testing.T, materialized, streamed *Result) {
@@ -48,8 +32,9 @@ func streamWorkloadCfg(n, trial int) workload.Config {
 	return cfg
 }
 
-// runBoth executes the identical trial on both paths — Run over a fresh
-// materialized workload, RunStream over a fresh arena-backed Source — with
+// runBoth executes the identical trial on both paths — the runMaterialized
+// oracle over a fresh materialized workload, RunStream over a fresh
+// arena-backed Source — with
 // observers capturing the full trace, and returns both results + traces.
 // mkCfg must return a fresh Config per call: heuristics can be stateful
 // (RR's rotation cursor), so the two paths cannot share one instance.
@@ -62,7 +47,7 @@ func runBoth(t *testing.T, wcfg workload.Config, mkCfg func() Config) (*Result, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	matRes, err := Run(hcMatrix, tasks, matCfg)
+	matRes, err := runMaterialized(hcMatrix, tasks, matCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +217,7 @@ func TestStreamAggregatesMatchAcrossPaths(t *testing.T) {
 	matCfg := batchCfg(sched.NewMM(), core.DefaultConfig(12))
 	matAgg := NewTaskAggregates(len(tasks), 10)
 	matCfg.Aggregates = matAgg
-	matRes, err := Run(hcMatrix, tasks, matCfg)
+	matRes, err := runMaterialized(hcMatrix, tasks, matCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +267,11 @@ func TestStreamAutoExcludeBoundary(t *testing.T) {
 	cfg := immCfg(sched.NewMCT(), core.Disabled(12))
 	cfg.ExcludeBoundary = 20
 	cfg.AutoExcludeBoundary = true
-	matRes, err := Run(hcMatrix, mkTasks(), cfg)
+	matRes, err := runMaterialized(hcMatrix, mkTasks(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strRes, err := RunStream(hcMatrix, &stubSource{tasks: mkTasks()}, cfg)
+	strRes, err := RunStream(hcMatrix, &sliceSource{tasks: mkTasks()}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +285,7 @@ func TestStreamAutoExcludeBoundary(t *testing.T) {
 	if _, err := Run(hcMatrix, mkTasks(), cfg); err == nil {
 		t.Fatal("Run accepted an out-of-range boundary")
 	}
-	_, err = RunStream(hcMatrix, &stubSource{tasks: mkTasks()}, cfg)
+	_, err = RunStream(hcMatrix, &sliceSource{tasks: mkTasks()}, cfg)
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("RunStream boundary error = %v", err)
 	}
@@ -312,7 +297,7 @@ func TestStreamErrNoTasks(t *testing.T) {
 	cfg := immCfg(sched.NewMCT(), core.Disabled(12))
 	cfg.ExcludeBoundary = 0
 	cfg.AutoExcludeBoundary = true
-	_, err := RunStream(hcMatrix, &stubSource{}, cfg)
+	_, err := RunStream(hcMatrix, &sliceSource{}, cfg)
 	if !errors.Is(err, ErrNoTasks) {
 		t.Fatalf("err = %v, want ErrNoTasks", err)
 	}
@@ -325,12 +310,12 @@ func TestStreamSourceContract(t *testing.T) {
 	cfg.ExcludeBoundary = 0
 	cfg.AutoExcludeBoundary = true
 
-	badID := &stubSource{tasks: []*task.Task{task.New(1, 0, 0, 50)}}
+	badID := &sliceSource{tasks: []*task.Task{task.New(1, 0, 0, 50)}}
 	if _, err := RunStream(hcMatrix, badID, cfg); err == nil || !strings.Contains(err.Error(), "sequential") {
 		t.Fatalf("non-sequential ID error = %v", err)
 	}
 
-	backwards := &stubSource{tasks: []*task.Task{
+	backwards := &sliceSource{tasks: []*task.Task{
 		task.New(0, 0, 10, 60), task.New(1, 0, 5, 55),
 	}}
 	if _, err := RunStream(hcMatrix, backwards, cfg); err == nil || !strings.Contains(err.Error(), "out of order") {
@@ -342,6 +327,41 @@ func TestStreamSourceContract(t *testing.T) {
 	}
 }
 
+// TestRunSliceContract: Run checks its slice before running anything — IDs
+// 0..n-1 in slice order, non-decreasing arrivals, no nil entries — and a
+// valid slice keeps its structs (final statuses) after the run.
+func TestRunSliceContract(t *testing.T) {
+	cfg := immCfg(sched.NewMCT(), core.Disabled(12))
+	cfg.ExcludeBoundary = 0
+	for _, c := range []struct {
+		name  string
+		tasks []*task.Task
+		want  string
+	}{
+		{"foreign IDs", []*task.Task{task.New(5, 0, 1, 100), task.New(6, 1, 2, 100), task.New(7, 2, 3, 100)}, "IDs must be 0..n-1"},
+		{"out of order", []*task.Task{task.New(0, 0, 10, 100), task.New(1, 1, 5, 100)}, "arrivals must not decrease"},
+		{"nil task", []*task.Task{task.New(0, 0, 1, 100), nil}, "nil"},
+	} {
+		_, err := Run(hcMatrix, c.tasks, cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		if c.tasks[0].Status != task.StatusUnarrived {
+			t.Errorf("%s: rejected slice was simulated (task 0 is %v)", c.name, c.tasks[0].Status)
+		}
+	}
+
+	tasks := smallWorkload(300, 1)
+	if _, err := Run(hcMatrix, tasks, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range tasks {
+		if !tk.Status.Terminal() {
+			t.Fatalf("task %d ended %v, want a terminal status", tk.ID, tk.Status)
+		}
+	}
+}
+
 // TestStreamTailEpsValidation: both entry points reject malformed TailEps.
 func TestStreamTailEpsValidation(t *testing.T) {
 	for _, eps := range []float64{-0.5, 1, 2} {
@@ -350,7 +370,7 @@ func TestStreamTailEpsValidation(t *testing.T) {
 		if _, err := Run(hcMatrix, smallWorkload(100, 0), cfg); err == nil {
 			t.Fatalf("Run accepted TailEps %v", eps)
 		}
-		if _, err := RunStream(hcMatrix, &stubSource{tasks: smallWorkload(100, 0)}, cfg); err == nil {
+		if _, err := RunStream(hcMatrix, &sliceSource{tasks: smallWorkload(100, 0)}, cfg); err == nil {
 			t.Fatalf("RunStream accepted TailEps %v", eps)
 		}
 	}

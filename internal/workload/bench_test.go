@@ -2,8 +2,8 @@ package workload
 
 import "testing"
 
-// BenchmarkWorkloadGenerate covers the materializing path (now sorted via
-// slices.SortStableFunc rather than a sort.Slice closure).
+// BenchmarkWorkloadGenerate covers the materializing path: a Source drained
+// into a slice, without recycling.
 func BenchmarkWorkloadGenerate(b *testing.B) {
 	cfg := DefaultConfig(15000)
 	model, err := NewArrivalModel(cfg, testMatrix.NumTaskTypes())

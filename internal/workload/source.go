@@ -1,16 +1,17 @@
-// Streaming workload generation. A Source yields the exact task sequence
-// GenerateWith materializes — same IDs, arrivals, deadlines and values, bit
-// for bit — without ever holding more than one pending arrival per task
-// type. The per-type arrival streams merge through a small k-way heap
-// ordered by (arrival, type), which reproduces the (Arrival, Type) sort of
-// the materialized path because each stream is nondecreasing in time.
+// Streaming workload generation. A Source yields one trial's tasks in
+// (arrival, type) order without ever holding more than one pending arrival
+// per task type: the per-type arrival streams merge through a small k-way
+// heap ordered by (arrival, type), and because each stream is
+// nondecreasing in time the merge is the stable (Arrival, Type) sort of
+// all the trial's arrivals. GenerateWith materializes a trial by draining
+// its Source.
 //
-// The RNG discipline is the load-bearing part: GenerateWith interleaves
-// each type's deadline-beta and value draws with that type's arrival draws
-// on one per-(trial, type) stream (N1, beta1, value1, N2, beta2, ...). The
-// Source replays the same order — it draws beta and value for the popped
-// arrival before pulling the type's next arrival — so every random draw
-// lands at the same position of the same stream.
+// The RNG discipline pins a trial bit for bit: each type's deadline-beta
+// and value draws share one per-(trial, type) stream with that type's
+// arrival draws, interleaved as N1, beta1, value1, N2, beta2, ... — the
+// Source draws beta and value for the popped arrival before pulling the
+// type's next arrival — so a (seed, trial) pair fixes every task whatever
+// order the types are consumed in.
 package workload
 
 import (
@@ -54,13 +55,14 @@ func NewSource(m *pet.Matrix, cfg Config) (*Source, error) {
 // NewSourceWith is NewSource with a pre-compiled arrival model; sweeps
 // compile the model once and build one Source per trial. The model must
 // have been built from cfg (and the matrix's type count) via
-// NewArrivalModel, exactly as with GenerateWith.
+// NewArrivalModel.
 func NewSourceWith(m *pet.Matrix, model ArrivalModel, cfg Config) *Source {
 	nt := m.NumTaskTypes()
 	s := &Source{cfg: cfg, matrix: m, arena: task.NewArena(), types: make([]typeStream, nt)}
 	for tt := 0; tt < nt; tt++ {
-		// Same sub-stream split as GenerateWith: arrivals, betas and values
-		// of one type share one per-(trial, type) RNG.
+		// Independent sub-stream per (trial, type): arrival processes of
+		// different types never interfere. Arrivals, betas and values of
+		// one type share the type's RNG.
 		rng := randx.Split(cfg.Seed, uint64(cfg.Trial)*1000003+uint64(tt))
 		ts := &s.types[tt]
 		ts.rng = rng
@@ -75,7 +77,7 @@ func NewSourceWith(m *pet.Matrix, model ArrivalModel, cfg Config) *Source {
 
 // Next yields the next task in (Arrival, Type) order, or ok == false when
 // the trial's workload is exhausted. IDs are assigned sequentially from 0 in
-// yield order, matching the materialized path's post-sort ID assignment.
+// yield order.
 func (s *Source) Next() (*task.Task, bool) {
 	if len(s.heap) == 0 {
 		return nil, false
@@ -83,8 +85,8 @@ func (s *Source) Next() (*task.Task, bool) {
 	tt := s.heap[0]
 	ts := &s.types[tt]
 	arrival := ts.pending
-	// Draw order within the type's stream mirrors GenerateWith exactly:
-	// beta (and value) for this arrival, then the next arrival.
+	// Draw order within the type's stream: beta (and value) for this
+	// arrival, then the next arrival.
 	beta := ts.rng.Uniform(s.cfg.BetaLo, s.cfg.BetaHi)
 	deadline := arrival + s.matrix.TaskAvg(tt) + beta*s.matrix.AvgAll()
 	tk := s.arena.New(s.next, tt, arrival, deadline)
@@ -117,8 +119,7 @@ func (s *Source) Recycle(t *task.Task) { s.arena.Recycle(t) }
 // in-flight window a memory-bounded consumer should keep small.
 func (s *Source) Live() int { return s.arena.Live() }
 
-// less orders heap entries by (pending arrival, type index) — the same key
-// the materialized path sorts by.
+// less orders heap entries by (pending arrival, type index).
 func (s *Source) less(a, b int) bool {
 	ta, tb := s.types[a].pending, s.types[b].pending
 	if ta != tb {

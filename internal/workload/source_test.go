@@ -37,7 +37,7 @@ func TestSourceMatchesGenerateGolden(t *testing.T) {
 	cfg := DefaultConfig(600)
 	cfg.Trial = 3
 	cfg.ValueLo, cfg.ValueHi = 0.5, 2
-	want, err := Generate(testMatrix, cfg)
+	want, err := generateSorted(testMatrix, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +159,15 @@ func randomConfig(r *rand.Rand) Config {
 }
 
 // TestSourceMatchesGeneratePropertyAllModels: across random configurations of
-// all six arrival models, the streaming source replays GenerateWith
-// bit-for-bit.
+// all six arrival models, the streaming source replays the sort-based
+// reference generator bit-for-bit.
 func TestSourceMatchesGeneratePropertyAllModels(t *testing.T) {
 	r := rand.New(rand.NewSource(0x50facade))
 	covered := make(map[string]bool)
 	for iter := 0; iter < 60; iter++ {
 		cfg := randomConfig(r)
 		covered[modelName(cfg)] = true
-		want, err := Generate(testMatrix, cfg)
+		want, err := generateSorted(testMatrix, cfg)
 		if err != nil {
 			t.Fatalf("iter %d (%s): %v", iter, cfg.Model, err)
 		}
@@ -206,7 +206,7 @@ func TestSourceMatchesGenerateWithSurgeOverlay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		want := GenerateWith(testMatrix, model, cfg)
+		want := generateSortedWith(testMatrix, model, cfg)
 		got := drain(NewSourceWith(testMatrix, model, cfg))
 		requireIdentical(t, "surge overlay", got, want)
 	}

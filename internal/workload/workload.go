@@ -17,10 +17,8 @@ package workload
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"prunesim/internal/pet"
-	"prunesim/internal/randx"
 	"prunesim/internal/task"
 )
 
@@ -96,45 +94,13 @@ func Generate(m *pet.Matrix, cfg Config) ([]*task.Task, error) {
 // GenerateWith is Generate with a pre-compiled arrival model; callers
 // running many trials of one configuration compile once and reuse it.
 // The model must have been built from cfg (and the matrix's type count)
-// via NewArrivalModel.
+// via NewArrivalModel. It drains the trial's Source, so the slice holds
+// exactly the sequence a streaming consumer sees.
 func GenerateWith(m *pet.Matrix, model ArrivalModel, cfg Config) []*task.Task {
-	nt := m.NumTaskTypes()
+	src := NewSourceWith(m, model, cfg)
 	var all []*task.Task
-	for tt := 0; tt < nt; tt++ {
-		// Independent sub-stream per (trial, type): arrival processes of
-		// different types never interfere. Deadline and value draws share
-		// the type's stream, interleaved with its arrival draws, so the
-		// (seed, trial) pair pins the full task list bit-for-bit.
-		rng := randx.Split(cfg.Seed, uint64(cfg.Trial)*1000003+uint64(tt))
-		stream := model.Stream(tt, cfg.Trial, rng)
-		for {
-			t, ok := stream.Next()
-			if !ok {
-				break
-			}
-			beta := rng.Uniform(cfg.BetaLo, cfg.BetaHi)
-			deadline := t + m.TaskAvg(tt) + beta*m.AvgAll()
-			tk := task.New(0, tt, t, deadline)
-			if cfg.ValueHi > 0 {
-				tk.Value = rng.Uniform(cfg.ValueLo, cfg.ValueHi)
-			}
-			all = append(all, tk)
-		}
-	}
-	// Stable sort by (Arrival, Type): per-type streams emit in nondecreasing
-	// time, so stability makes equal (Arrival, Type) pairs keep their stream
-	// order — the same tie rule the streaming Source's k-way merge applies.
-	slices.SortStableFunc(all, func(a, b *task.Task) int {
-		switch {
-		case a.Arrival < b.Arrival:
-			return -1
-		case a.Arrival > b.Arrival:
-			return 1
-		}
-		return a.Type - b.Type
-	})
-	for i, t := range all {
-		t.ID = i
+	for t, ok := src.Next(); ok; t, ok = src.Next() {
+		all = append(all, t)
 	}
 	return all
 }

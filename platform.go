@@ -7,9 +7,6 @@ import (
 	"prunesim/internal/sim"
 )
 
-// schedByName resolves a heuristic name to a fresh instance.
-func schedByName(name string) (any, bool, error) { return sched.ByName(name) }
-
 // PlatformConfig describes a serverless platform to simulate: its machines,
 // allocation mode, mapping heuristic and pruning mechanism.
 type PlatformConfig struct {
@@ -71,11 +68,10 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	if cfg.Pruning.NumTaskTypes == 0 {
 		cfg.Pruning.NumTaskTypes = cfg.Matrix.NumTaskTypes()
 	}
-	h, imm, err := sched.ByName(cfg.Heuristic)
+	_, imm, err := sched.ByName(cfg.Heuristic)
 	if err != nil {
 		return nil, err
 	}
-	_ = h
 	if imm && cfg.Mode != ImmediateAllocation {
 		return nil, fmt.Errorf("prunesim: heuristic %q requires ImmediateAllocation", cfg.Heuristic)
 	}
@@ -94,32 +90,44 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 // Config returns the platform's (defaulted) configuration.
 func (p *Platform) Config() PlatformConfig { return p.cfg }
 
-// Run simulates the platform over the given workload. Task structs are
-// mutated in place (statuses, start/completion times); generate a fresh
-// workload per run to compare configurations.
-func (p *Platform) Run(tasks []*Task) (*Result, error) {
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("prunesim: empty workload")
-	}
-	h, _, err := sched.ByName(p.cfg.Heuristic) // fresh instance per run
+// simConfig builds the simulator configuration of one run, with a fresh
+// heuristic instance (some heuristics carry cursors, so runs never share
+// one).
+func (p *Platform) simConfig() (sim.Config, error) {
+	h, _, err := sched.ByName(p.cfg.Heuristic)
 	if err != nil {
-		return nil, err
+		return sim.Config{}, err
 	}
-	exclude := p.cfg.ExcludeBoundary
-	if 2*exclude >= len(tasks) {
-		exclude = (len(tasks) - 1) / 2
-	}
-	return sim.Run(p.cfg.Matrix, tasks, sim.Config{
+	return sim.Config{
 		Mode:            p.cfg.Mode,
 		Heuristic:       h,
 		MachineTypes:    p.cfg.MachineTypes,
 		Slots:           p.cfg.QueueSlots,
 		Prune:           p.cfg.Pruning,
 		Seed:            p.cfg.Seed,
-		ExcludeBoundary: exclude,
+		ExcludeBoundary: p.cfg.ExcludeBoundary,
 		TailEps:         p.cfg.PCTTailEps,
 		Observer:        p.cfg.Observer,
-	})
+	}, nil
+}
+
+// Run simulates the platform over the given workload. Task IDs must be
+// 0..n-1 in slice order and arrival times must not decrease, as
+// GenerateWorkload builds them; anything else is an error. Task structs
+// are mutated in place (statuses, start/completion times); generate a
+// fresh workload per run to compare configurations.
+func (p *Platform) Run(tasks []*Task) (*Result, error) {
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("prunesim: empty workload")
+	}
+	cfg, err := p.simConfig()
+	if err != nil {
+		return nil, err
+	}
+	if 2*cfg.ExcludeBoundary >= len(tasks) {
+		cfg.ExcludeBoundary = (len(tasks) - 1) / 2
+	}
+	return sim.Run(p.cfg.Matrix, tasks, cfg)
 }
 
 // RunTrial generates workload trial number `trial` from cfg and runs it.
@@ -140,22 +148,12 @@ func (p *Platform) RunTrial(wcfg WorkloadConfig, trial int) (*Result, error) {
 // over the materialized equivalent (tiny workloads clamp the boundary
 // slightly differently: n/4 here versus Run's (n-1)/2).
 func (p *Platform) RunStream(src *WorkloadSource) (*Result, error) {
-	h, _, err := sched.ByName(p.cfg.Heuristic) // fresh instance per run
+	cfg, err := p.simConfig()
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunStream(p.cfg.Matrix, src, sim.Config{
-		Mode:                p.cfg.Mode,
-		Heuristic:           h,
-		MachineTypes:        p.cfg.MachineTypes,
-		Slots:               p.cfg.QueueSlots,
-		Prune:               p.cfg.Pruning,
-		Seed:                p.cfg.Seed,
-		ExcludeBoundary:     p.cfg.ExcludeBoundary,
-		AutoExcludeBoundary: true,
-		TailEps:             p.cfg.PCTTailEps,
-		Observer:            p.cfg.Observer,
-	})
+	cfg.AutoExcludeBoundary = true
+	return sim.RunStream(p.cfg.Matrix, src, cfg)
 }
 
 // RunTrialStream generates workload trial number `trial` as a stream and

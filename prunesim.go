@@ -47,6 +47,7 @@ import (
 	"prunesim/internal/pet"
 	"prunesim/internal/pmf"
 	"prunesim/internal/scenario"
+	"prunesim/internal/sched"
 	"prunesim/internal/sim"
 	"prunesim/internal/stats"
 	"prunesim/internal/task"
@@ -155,7 +156,8 @@ const (
 )
 
 // NewTask creates a task of the given type with an arrival time and hard
-// deadline.
+// deadline. A workload for Platform.Run numbers its tasks 0..n-1 in
+// arrival order.
 func NewTask(id, taskType int, arrival, deadline float64) *Task {
 	return task.New(id, taskType, arrival, deadline)
 }
@@ -377,7 +379,7 @@ type (
 // estimator: tasks mapped at predicted chance p should complete on time
 // with empirical frequency near p. bins sets the table resolution.
 func (p *Platform) AssessCalibration(tasks []*Task, bins int) (*CalibrationReport, error) {
-	h, _, err := schedByName(p.cfg.Heuristic)
+	h, _, err := sched.ByName(p.cfg.Heuristic)
 	if err != nil {
 		return nil, err
 	}

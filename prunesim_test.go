@@ -82,6 +82,28 @@ func TestPlatformEmptyWorkload(t *testing.T) {
 	}
 }
 
+// TestPlatformRunRejectsMalformedWorkload: a hand-built workload whose IDs
+// are not 0..n-1, or whose arrivals go backwards, is an error — never a
+// panic.
+func TestPlatformRunRejectsMalformedWorkload(t *testing.T) {
+	p, err := prunesim.NewPlatform(prunesim.PlatformConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tasks := range map[string][]*prunesim.Task{
+		"IDs not 0..n-1": {
+			prunesim.NewTask(5, 0, 1, 100), prunesim.NewTask(6, 1, 2, 100), prunesim.NewTask(7, 2, 3, 100),
+		},
+		"arrivals out of order": {
+			prunesim.NewTask(0, 0, 3, 100), prunesim.NewTask(1, 1, 2, 100), prunesim.NewTask(2, 2, 1, 100),
+		},
+	} {
+		if _, err := p.Run(tasks); err == nil {
+			t.Errorf("%s: workload accepted", name)
+		}
+	}
+}
+
 func TestPruningImprovesViaFacade(t *testing.T) {
 	matrix := prunesim.StandardPET()
 	wcfg := prunesim.DefaultWorkload(4000)

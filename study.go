@@ -8,9 +8,7 @@ import (
 )
 
 // Study is the client-style way to run a scenario: construct with NewStudy,
-// chain options, then Run. It replaces the RunScenario* free functions
-// (kept below as deprecated wrappers) with one coherent
-// construction → run → results path:
+// chain options, then Run — one construction → run → results path:
 //
 //	outcome, err := prunesim.NewStudy(sc).
 //		OnTrial(func(p prunesim.ScenarioTrialProgress) { bar.Tick(p) }).
@@ -74,27 +72,4 @@ func (st *Study) Run() (*ScenarioOutcome, error) {
 		return eng.RunWithProgress(st.scenario, st.onTrial)
 	}
 	return eng.Run(st.scenario)
-}
-
-// RunScenario normalizes and executes one scenario on a fresh engine,
-// running its trials concurrently.
-//
-// Deprecated: use NewStudy(s).Run().
-func RunScenario(s Scenario) (*ScenarioOutcome, error) {
-	return NewStudy(s).Run()
-}
-
-// RunScenarioWithProgress is RunScenario with a live per-trial callback.
-//
-// Deprecated: use NewStudy(s).OnTrial(onTrial).Run().
-func RunScenarioWithProgress(s Scenario, onTrial func(ScenarioTrialProgress)) (*ScenarioOutcome, error) {
-	return NewStudy(s).OnTrial(onTrial).Run()
-}
-
-// RunScenarioPaced executes one scenario against a real wall clock running
-// speedup× faster than simulated time.
-//
-// Deprecated: use NewStudy(s).Paced(speedup).OnTrial(onTrial).Run().
-func RunScenarioPaced(s Scenario, speedup float64, onTrial func(ScenarioTrialProgress)) (*ScenarioOutcome, error) {
-	return NewStudy(s).Paced(speedup).OnTrial(onTrial).Run()
 }
