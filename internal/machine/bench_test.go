@@ -21,6 +21,18 @@ func benchLookup() PETLookup {
 	return func(taskType int) *pmf.PMF { return pets[taskType] }
 }
 
+// loadedMachine returns a busy machine over benchLookup with a scratch
+// attached: one running task and depth-1 pending tasks.
+func loadedMachine(depth int) *Machine {
+	m := New(0, 0, benchLookup(), 1)
+	m.SetScratch(&pmf.Scratch{})
+	for i := 0; i < depth; i++ {
+		m.Enqueue(task.New(i, i%3, 0, 1e9), 0)
+	}
+	m.StartNext(0)
+	return m
+}
+
 // BenchmarkMachineSteadyState measures the per-task machine cycle of an
 // oversubscribed queue — chance query, enqueue, start, complete — which is
 // the simulator's inner loop. Steady state must not allocate: every PMF
@@ -103,5 +115,35 @@ func BenchmarkMachineDropSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.DropPending(0, never)
+	}
+}
+
+// BenchmarkMachineDeferRound measures the batch-deferral pattern: between
+// two mutations a batch heuristic asks a machine about several task types,
+// more than once each (every Map call of a mapping event re-asks), before
+// one task is finally mapped. Each round queries all three types twice,
+// then enqueues one task and cycles the head so the queue depth stays
+// fixed. Repeat queries are memo hits; steady state must not allocate.
+func BenchmarkMachineDeferRound(b *testing.B) {
+	m := loadedMachine(8)
+	tasks := make([]*task.Task, 64)
+	for i := range tasks {
+		tasks[i] = task.New(i, i%3, 0, 1e9)
+	}
+	now := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += 1.5
+		for pass := 0; pass < 2; pass++ {
+			for k := 0; k < 3; k++ {
+				_ = m.ChanceIfEnqueued(k, now+20, now)
+			}
+		}
+		t := tasks[(8+i)%len(tasks)]
+		t.ID = 64 + i // fresh identity; arrival stays in the past
+		m.Enqueue(t, now)
+		m.Complete(now)
+		m.StartNext(now)
 	}
 }

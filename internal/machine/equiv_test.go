@@ -208,6 +208,7 @@ const (
 	opFail    // platform failure: orphan everything, go down
 	opJoin    // rejoin a failed machine
 	opSwapPET // degradation/restoration: swap the PET lookup mid-stream
+	opDefer   // batch deferral: chance for every type, a re-query, then an enqueue
 	numOpKinds
 )
 
@@ -387,6 +388,30 @@ func TestPropIncrementalEquivalentToFullRecompute(t *testing.T) {
 					t.Logf("step %d: chance %v vs %v", step, ci, cr)
 					return false
 				}
+			case opDefer:
+				if inc.Down() {
+					continue
+				}
+				// Ask about every type in an arg-seeded order without
+				// mutating, re-ask one (a memo hit), then map one — the
+				// pattern batch mapping produces between mutations.
+				order := rand.New(rand.NewSource(int64(arg))).Perm(3)
+				order = append(order, order[int(arg)%3])
+				for k, tt := range order {
+					deadline := now + float64((int(arg)+k)%11)
+					ci := inc.ChanceIfEnqueued(tt, deadline, now)
+					cr := ref.chanceIfEnqueued(tt, deadline, now)
+					if math.Float64bits(ci) != math.Float64bits(cr) {
+						t.Logf("step %d query %d (type %d): chance %v vs %v", step, k, tt, ci, cr)
+						return false
+					}
+				}
+				tt := order[int(arg>>2)%3]
+				a := task.New(nextID, tt, now, now+float64(arg%17)+1)
+				b := task.New(nextID, tt, now, now+float64(arg%17)+1)
+				nextID++
+				inc.Enqueue(a, now)
+				ref.enqueue(b, now)
 			}
 			if !check(step) {
 				return false

@@ -108,20 +108,28 @@ type Machine struct {
 	anchorBuf    *pmf.PMF
 	anchorBufKey anchorKey
 
-	// ver counts chain mutations; the caches below are valid only for
-	// their recorded version (plus, for an empty queue, anchor key).
-	ver uint64
+	// ver counts changes to what the caches below derive from: chain
+	// mutations, and moves of the anchor an empty queue's LastPCT rests on
+	// (cacheKey, see syncCacheKey). Each cache entry is valid only for the
+	// version it recorded.
+	ver      uint64
+	cacheKey anchorKey
 
 	meanOK  bool
 	meanVer uint64
-	meanKey anchorKey
 	mean    float64
 
-	chanceOK   bool
-	chanceVer  uint64
-	chanceKey  anchorKey
-	chanceType int
-	chancePCT  *pmf.PMF
+	// chance memoizes the if-enqueued PCT per task type (index), so a
+	// deferral pattern that queries several types between mutations
+	// convolves each at most once.
+	chance []chanceMemo
+}
+
+// chanceMemo is one task type's if-enqueued PCT, valid while the machine's
+// version still matches. A nil pct is never valid.
+type chanceMemo struct {
+	ver uint64
+	pct *pmf.PMF
 }
 
 // New constructs an idle machine of the given machine type.
@@ -139,7 +147,21 @@ func New(id, typeIdx int, lookup PETLookup, binWidth float64) *Machine {
 // scratch may be shared by all machines of one simulation trial (they run
 // on one goroutine) but must not be shared across goroutines. A nil scratch
 // is valid and means plain allocation.
-func (m *Machine) SetScratch(s *pmf.Scratch) { m.scratch = s }
+//
+// Detaching (s == nil) returns the machine's cache buffers — the chance
+// memo and the anchor buffer — to the scratch it was using, so pooled
+// storage is not stranded on a machine about to be discarded.
+func (m *Machine) SetScratch(s *pmf.Scratch) {
+	if s == nil && m.scratch != nil {
+		for i := range m.chance {
+			m.scratch.Put(m.chance[i].pct)
+			m.chance[i] = chanceMemo{}
+		}
+		m.scratch.Put(m.anchorBuf)
+		m.anchorBuf, m.anchorBufKey = nil, anchorKey{}
+	}
+	m.scratch = s
+}
 
 // SetTailEps configures tail-mass-ε support compression: after every chain
 // convolution the resulting PCT drops its largest suffix with mass <= eps
@@ -214,11 +236,11 @@ func (m *Machine) Pending() []Entry {
 	return m.pending
 }
 
-// bumpVer invalidates the derived-value caches after a chain mutation.
+// bumpVer invalidates the derived-value caches; the chance memo entries
+// lapse through their version compare.
 func (m *Machine) bumpVer() {
 	m.ver++
 	m.meanOK = false
-	m.chanceOK = false
 }
 
 // anchorKeyAt returns the identity of the distribution baselinePCT(now)
@@ -332,38 +354,51 @@ func (m *Machine) LastPCT(now float64) *pmf.PMF {
 // event.
 func (m *Machine) ExpectedReady(now float64) float64 {
 	m.refreshIfStale()
-	var akey anchorKey
-	if len(m.pending) == 0 {
-		akey = m.anchorKeyAt(now)
-	}
-	if m.meanOK && m.meanVer == m.ver && m.meanKey == akey {
+	m.syncCacheKey(now)
+	if m.meanOK && m.meanVer == m.ver {
 		return m.mean
 	}
 	v := m.LastPCT(now).Mean()
-	m.meanOK, m.meanVer, m.meanKey, m.mean = true, m.ver, akey, v
+	m.meanOK, m.meanVer, m.mean = true, m.ver, v
 	return v
 }
 
-// pctIfEnqueued returns the PCT a task of the given type would get if
-// appended now (Eq. 1). The result lives in the machine's chance buffer and
-// is cached so the ChanceIfEnqueued-then-Enqueue sequence every mapping
-// event performs convolves once, not twice.
-func (m *Machine) pctIfEnqueued(taskType int, p *pmf.PMF, now float64) *pmf.PMF {
+// syncCacheKey folds the empty-queue anchor into ver: while the queue is
+// empty, LastPCT(now) is the anchor at now, so a move of that anchor bumps
+// ver and lapses every cache entry recorded under the old one.
+func (m *Machine) syncCacheKey(now float64) {
 	var akey anchorKey
 	if len(m.pending) == 0 {
 		akey = m.anchorKeyAt(now)
 	}
-	if m.chanceOK && m.chanceVer == m.ver && m.chanceType == taskType &&
-		m.chanceKey == akey && m.chancePCT != nil {
-		return m.chancePCT
+	if akey != m.cacheKey {
+		m.cacheKey = akey
+		m.bumpVer()
+	}
+}
+
+// pctIfEnqueued returns the PCT a task of the given type would get if
+// appended now (Eq. 1). The result lives in that type's chance-memo buffer
+// and stays valid until ver moves, so repeated queries for any mix of
+// types between mutations — batch deferral asks every machine about
+// several types per task — convolve once per type, and the Enqueue that
+// follows a query reuses its convolution.
+func (m *Machine) pctIfEnqueued(taskType int, p *pmf.PMF, now float64) *pmf.PMF {
+	m.syncCacheKey(now)
+	if taskType >= len(m.chance) {
+		m.chance = append(m.chance, make([]chanceMemo, taskType+1-len(m.chance))...)
+	}
+	c := &m.chance[taskType]
+	if c.pct != nil && c.ver == m.ver {
+		return c.pct
 	}
 	last := m.LastPCT(now)
-	if m.chancePCT == nil {
-		m.chancePCT = m.scratch.Get()
+	if c.pct == nil {
+		c.pct = m.scratch.Get()
 	}
-	m.compressed(pmf.ConvolveInto(m.chancePCT, last, p))
-	m.chanceOK, m.chanceVer, m.chanceKey, m.chanceType = true, m.ver, akey, taskType
-	return m.chancePCT
+	m.compressed(pmf.ConvolveInto(c.pct, last, p))
+	c.ver = m.ver
+	return c.pct
 }
 
 // ChanceIfEnqueued returns the chance of success (Eq. 2) a task of the given
@@ -384,9 +419,8 @@ func (m *Machine) Enqueue(t *task.Task, now float64) {
 		panic(fmt.Sprintf("machine %d: no PET for task type %d", m.id, t.Type))
 	}
 	pct := m.pctIfEnqueued(t.Type, p, now)
-	// The chance buffer becomes the entry's PCT; hand over ownership.
-	m.chancePCT = nil
-	m.chanceOK = false
+	// This type's memo buffer becomes the entry's PCT; hand over ownership.
+	m.chance[t.Type].pct = nil
 	if len(m.pending) == 0 {
 		// A fresh chain starts on the anchor the PCT was just built from.
 		m.chainKey = m.anchorKeyAt(now)

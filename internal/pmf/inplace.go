@@ -18,12 +18,19 @@ import "math"
 //     callers without a buffer to reuse lose nothing.
 
 // resize returns p with length n, reusing capacity when possible. The
-// contents are unspecified.
+// contents are unspecified. Growth is exact for a first allocation or a
+// jump past twice the old capacity, so one-shot results carry no slack; a
+// recycled buffer that creeps past its capacity regrows with 50% headroom,
+// because pooled buffers meet a slowly rising sequence of support sizes
+// and exact regrowth would reallocate at every new maximum.
 func resize(p []float64, n int) []float64 {
 	if cap(p) >= n {
 		return p[:n]
 	}
-	return make([]float64, n)
+	if 2*cap(p) < n {
+		return make([]float64, n)
+	}
+	return make([]float64, n, n+n/2)
 }
 
 // ConvolveInto computes the distribution of X + Y for independent a and b

@@ -152,6 +152,42 @@ func TestScratchRecyclesBuffers(t *testing.T) {
 	}
 }
 
+// TestResizeHeadroom pins the buffer growth policy: fresh destinations
+// and jumps past twice the old capacity are sized exactly, while a
+// recycled buffer that creeps past its capacity regrows with headroom, so
+// a slowly rising support does not reallocate on every new maximum.
+func TestResizeHeadroom(t *testing.T) {
+	two := New(0, 1, []float64{0.5, 0.5}, 0)
+	bins := func(n int) *PMF { // n equal bins
+		m := make([]float64, n)
+		for i := range m {
+			m[i] = 1
+		}
+		return New(0, 1, m, 0)
+	}
+	d := ConvolveInto(nil, two, two)
+	for _, c := range []struct {
+		name             string
+		b                *PMF
+		wantLen, wantCap int
+	}{
+		{"fresh", nil, 3, 3},
+		{"creep", bins(4), 5, 7},
+		{"within headroom", bins(6), 7, 7},
+		{"jump", bins(20), 21, 21},
+	} {
+		if c.b != nil {
+			d = ConvolveInto(d, two, c.b)
+			if !bitwiseEqual(d, two.Convolve(c.b)) {
+				t.Fatalf("%s: regrown buffer produced a wrong convolution", c.name)
+			}
+		}
+		if len(d.p) != c.wantLen || cap(d.p) != c.wantCap {
+			t.Fatalf("%s: len/cap %d/%d, want %d/%d", c.name, len(d.p), cap(d.p), c.wantLen, c.wantCap)
+		}
+	}
+}
+
 func TestNilScratchIsValid(t *testing.T) {
 	var s *Scratch
 	if d := s.Get(); d == nil {

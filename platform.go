@@ -120,14 +120,21 @@ func (p *Platform) Run(tasks []*Task) (*Result, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("prunesim: empty workload")
 	}
-	cfg, err := p.simConfig()
+	cfg, err := p.sliceConfig(len(tasks))
 	if err != nil {
 		return nil, err
 	}
-	if 2*cfg.ExcludeBoundary >= len(tasks) {
-		cfg.ExcludeBoundary = (len(tasks) - 1) / 2
-	}
 	return sim.Run(p.cfg.Matrix, tasks, cfg)
+}
+
+// sliceConfig is simConfig for a materialized workload of n tasks, with
+// ExcludeBoundary clamped so some tasks are always counted.
+func (p *Platform) sliceConfig(n int) (sim.Config, error) {
+	cfg, err := p.simConfig()
+	if err == nil && 2*cfg.ExcludeBoundary >= n {
+		cfg.ExcludeBoundary = (n - 1) / 2
+	}
+	return cfg, err
 }
 
 // RunTrial generates workload trial number `trial` from cfg and runs it.

@@ -47,7 +47,6 @@ import (
 	"prunesim/internal/pet"
 	"prunesim/internal/pmf"
 	"prunesim/internal/scenario"
-	"prunesim/internal/sched"
 	"prunesim/internal/sim"
 	"prunesim/internal/stats"
 	"prunesim/internal/task"
@@ -377,23 +376,14 @@ type (
 // AssessCalibration runs one simulation of the platform over the given
 // workload and returns the reliability table of the chance-of-success
 // estimator: tasks mapped at predicted chance p should complete on time
-// with empirical frequency near p. bins sets the table resolution.
+// with empirical frequency near p. bins sets the table resolution. The run
+// uses the platform's full configuration (including PCTTailEps), except
+// that its Observer is not called: the assessment installs its own.
 func (p *Platform) AssessCalibration(tasks []*Task, bins int) (*CalibrationReport, error) {
-	h, _, err := sched.ByName(p.cfg.Heuristic)
+	cfg, err := p.sliceConfig(len(tasks))
 	if err != nil {
 		return nil, err
 	}
-	exclude := p.cfg.ExcludeBoundary
-	if 2*exclude >= len(tasks) {
-		exclude = (len(tasks) - 1) / 2
-	}
-	return calibration.Assess(p.cfg.Matrix, tasks, sim.Config{
-		Mode:            p.cfg.Mode,
-		Heuristic:       h,
-		MachineTypes:    p.cfg.MachineTypes,
-		Slots:           p.cfg.QueueSlots,
-		Prune:           p.cfg.Pruning,
-		Seed:            p.cfg.Seed,
-		ExcludeBoundary: exclude,
-	}, bins)
+	cfg.Observer = nil
+	return calibration.Assess(p.cfg.Matrix, tasks, cfg, bins)
 }

@@ -2,9 +2,13 @@ package prunesim_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"prunesim"
+	"prunesim/internal/calibration"
+	"prunesim/internal/sched"
+	"prunesim/internal/sim"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -283,6 +287,66 @@ func TestAssessCalibrationViaFacade(t *testing.T) {
 	}
 	if rep.MeanAbsGap > 0.25 {
 		t.Fatalf("estimator badly calibrated via facade: %.1f%%", 100*rep.MeanAbsGap)
+	}
+}
+
+// TestAssessCalibrationHonorsTailEps: the facade must assess the platform
+// it was given, tail compression included — its report equals
+// calibration.Assess run directly with TailEps set.
+func TestAssessCalibrationHonorsTailEps(t *testing.T) {
+	matrix := prunesim.StandardPET()
+	p, err := prunesim.NewPlatform(prunesim.PlatformConfig{
+		Matrix:          matrix,
+		Heuristic:       "MM",
+		Pruning:         prunesim.DefaultPruning(matrix.NumTaskTypes()),
+		Seed:            4,
+		ExcludeBoundary: 50,
+		PCTTailEps:      0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload := func() []*prunesim.Task {
+		wcfg := prunesim.DefaultWorkload(2000)
+		wcfg.TimeSpan = 600
+		wcfg.NumSpikes = 2
+		tasks, err := prunesim.GenerateWorkload(matrix, wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tasks
+	}
+	got, err := p.AssessCalibration(workload(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := p.Config()
+	direct := func(eps float64) *calibration.Report {
+		h, _, err := sched.ByName(pc.Heuristic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := calibration.Assess(matrix, workload(), sim.Config{
+			Mode:            pc.Mode,
+			Heuristic:       h,
+			MachineTypes:    pc.MachineTypes,
+			Slots:           pc.QueueSlots,
+			Prune:           pc.Pruning,
+			Seed:            pc.Seed,
+			ExcludeBoundary: pc.ExcludeBoundary,
+			TailEps:         eps,
+		}, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want, exact := direct(pc.PCTTailEps), direct(0)
+	if reflect.DeepEqual(want, exact) {
+		t.Fatal("tail compression does not change the report; the check would be vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("facade report differs from calibration.Assess with TailEps %v:\n got %+v\nwant %+v", pc.PCTTailEps, got, want)
 	}
 }
 
