@@ -276,7 +276,7 @@ func newMirror(matrix *pet.Matrix, machineTypes []int, pcfg core.Config) *mirror
 func (m *mirror) sweep(now float64) []Eviction {
 	var evicted []Eviction
 	for j, mm := range m.machines {
-		for _, tk := range mm.DropPending(now, func(e machine.Entry) bool { return e.Task.Missed(now) }) {
+		for _, tk := range mm.DropPending(now, func(e machine.Entry) bool { return e.Task.Missed(now) }, nil) {
 			tk.Status = task.StatusDroppedReactive
 			m.pruner.RecordReactiveDrop(tk.Type)
 			evicted = append(evicted, Eviction{TaskID: tk.ID, Machine: j, Reason: ReasonDeadlineMissed})
@@ -288,7 +288,7 @@ func (m *mirror) sweep(now float64) []Eviction {
 		for j, mm := range m.machines {
 			for _, tk := range mm.DropPending(now, func(e machine.Entry) bool {
 				return m.pruner.ShouldDropValued(e.PCT.ProbLE(e.Task.Deadline), e.Task.Type, e.Task.Value)
-			}) {
+			}, nil) {
 				tk.Status = task.StatusDroppedProactive
 				m.pruner.RecordProactiveDrop(tk.Type)
 				evicted = append(evicted, Eviction{TaskID: tk.ID, Machine: j, Reason: ReasonLowChance})

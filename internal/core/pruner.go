@@ -112,11 +112,12 @@ type Pruner struct {
 
 	engaged bool // dropping engaged for the current mapping event
 
-	// Sweep's DropPending predicates, bound once in New (a closure built
-	// per call would allocate on every mapping event); they read sweepNow.
-	sweepNow  float64
-	missed    func(machine.Entry) bool
+	// lowChance is Sweep's proactive DropPending predicate, bound once in
+	// New (a closure built per call would allocate on every mapping event).
 	lowChance func(machine.Entry) bool
+	// dropBuf receives one machine's drops at a time during Sweep; reusing
+	// it keeps a sweep that drops tasks from allocating.
+	dropBuf []*task.Task
 }
 
 // New constructs a Pruner. It panics if cfg fails validation (a
@@ -132,7 +133,6 @@ func New(cfg Config) *Pruner {
 		fair: NewFairness(cfg.NumTaskTypes, cfg.FairnessFactor),
 		acct: NewAccounting(cfg.NumTaskTypes),
 	}
-	p.missed = func(e machine.Entry) bool { return e.Task.Missed(p.sweepNow) }
 	p.lowChance = func(e machine.Entry) bool {
 		return p.ShouldDropValued(e.PCT.ProbLE(e.Task.Deadline), e.Task.Type, e.Task.Value)
 	}
@@ -166,14 +166,18 @@ func (p *Pruner) BeginEvent() {
 // it and the index of its machine in ms; evict must retire the task, which
 // is no longer referenced by any queue.
 //
+// The reactive step is machine.DropMissed, which reads no PCT: the queues
+// it shortens are repaired only when something next reads them. The
+// proactive step is DropPending, whose predicate reads each PCT.
+//
 // Reactive drops from queues the caller owns (the simulator's arrival
 // queue) must be recorded before Sweep, so the Toggle sees them in this
-// event. evict does not escape, so a method value costs no allocation, and
-// Sweep allocates nothing unless a task is dropped.
+// event. evict must not call Sweep; it does not escape, so a method value
+// costs no allocation, and Sweep allocates nothing in steady state.
 func (p *Pruner) Sweep(ms []*machine.Machine, now float64, evict func(t *task.Task, machine int)) {
-	p.sweepNow = now
 	for j, m := range ms {
-		for _, t := range m.DropPending(now, p.missed) {
+		p.dropBuf = m.DropMissed(now, p.dropBuf[:0])
+		for _, t := range p.dropBuf {
 			t.Status = task.StatusDroppedReactive
 			p.RecordReactiveDrop(t.Type)
 			evict(t, j)
@@ -184,7 +188,8 @@ func (p *Pruner) Sweep(ms []*machine.Machine, now float64, evict func(t *task.Ta
 		return
 	}
 	for j, m := range ms {
-		for _, t := range m.DropPending(now, p.lowChance) {
+		p.dropBuf = m.DropPending(now, p.lowChance, p.dropBuf[:0])
+		for _, t := range p.dropBuf {
 			t.Status = task.StatusDroppedProactive
 			p.RecordProactiveDrop(t.Type)
 			evict(t, j)

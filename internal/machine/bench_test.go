@@ -99,9 +99,10 @@ func BenchmarkMachineRefreshPCTs(b *testing.B) {
 	})
 }
 
-// BenchmarkMachineDropSweep measures DropPending with a predicate that
-// drops nothing — the reactive sweep the simulator runs on every machine at
-// every mapping event. It must perform no convolutions and no allocations.
+// BenchmarkMachineDropSweep measures DropPending over a valid 24-deep
+// chain with a predicate that drops nothing — the proactive sweep's pass
+// over a machine that keeps all its tasks. It must perform no convolutions
+// and no allocations.
 func BenchmarkMachineDropSweep(b *testing.B) {
 	m := New(0, 0, benchLookup(), 1)
 	m.SetScratch(&pmf.Scratch{})
@@ -111,10 +112,30 @@ func BenchmarkMachineDropSweep(b *testing.B) {
 	m.StartNext(0)
 	m.Pending() // settle the chain
 	never := func(Entry) bool { return false }
+	var dst []*task.Task
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.DropPending(0, never)
+		dst = m.DropPending(0, never, dst[:0])
+	}
+}
+
+// BenchmarkMachineMissedSweep measures DropMissed — the reactive sweep the
+// simulator runs on every machine at every mapping event — right after
+// StartNext invalidated the 24-deep chain, with nothing expired. It must
+// not rebuild the chain, and must not allocate.
+func BenchmarkMachineMissedSweep(b *testing.B) {
+	m := New(0, 0, benchLookup(), 1)
+	m.SetScratch(&pmf.Scratch{})
+	for i := 0; i < 25; i++ {
+		m.Enqueue(task.New(i, i%3, 0, 1e9), 0)
+	}
+	m.StartNext(0)
+	var dst []*task.Task
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = m.DropMissed(float64(i%7), dst[:0])
 	}
 }
 

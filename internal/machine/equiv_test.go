@@ -209,6 +209,7 @@ const (
 	opJoin    // rejoin a failed machine
 	opSwapPET // degradation/restoration: swap the PET lookup mid-stream
 	opDefer   // batch deferral: chance for every type, a re-query, then an enqueue
+	opExpire  // two reactive sweeps (DropMissed) with time advancing between
 	numOpKinds
 )
 
@@ -259,167 +260,175 @@ func degradedPET(base PETLookup) PETLookup {
 	return func(taskType int) *pmf.PMF { return pets[taskType] }
 }
 
+// equivLookup and equivSlowLookup are the PET tables runOps drives both
+// machines with: randomPET and its degraded twin.
+var (
+	equivLookup     = randomPET()
+	equivSlowLookup = degradedPET(equivLookup)
+)
+
+// sameTasks reports the first position where two task lists differ by ID.
+func sameTasks(what string, got, want []*task.Task) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s %d vs %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID {
+			return fmt.Errorf("%s order mismatch at %d: task %d vs %d", what, i, got[i].ID, want[i].ID)
+		}
+	}
+	return nil
+}
+
+// runOps drives a fresh incremental machine and the full-recompute
+// reference through the operation sequence ops (with per-step args) and
+// requires bitwise-equal queue state after every step. It returns an error
+// naming the first divergence. The property test and FuzzMachineOps share
+// it.
+func runOps(ops []opKind, args []uint8) error {
+	inc := New(0, 0, equivLookup, 1)
+	inc.SetScratch(&pmf.Scratch{})
+	ref := &refMachine{pet: equivLookup, binWidth: 1}
+	now := 0.0
+	nextID := 0
+	enqueue := func(tt int, arg uint8) {
+		a := task.New(nextID, tt, now, now+float64(arg%17)+1)
+		b := task.New(nextID, tt, now, now+float64(arg%17)+1)
+		nextID++
+		inc.Enqueue(a, now)
+		ref.enqueue(b, now)
+	}
+	check := func() error {
+		incPending := inc.Pending()
+		ref.refreshIfStale()
+		if len(incPending) != len(ref.pending) {
+			return fmt.Errorf("pending %d vs %d", len(incPending), len(ref.pending))
+		}
+		for i := range incPending {
+			if incPending[i].Task.ID != ref.pending[i].Task.ID {
+				return fmt.Errorf("entry %d: task mismatch", i)
+			}
+			if err := pmfBitwise(incPending[i].PCT, ref.pending[i].PCT); err != nil {
+				return fmt.Errorf("entry %d: %v", i, err)
+			}
+		}
+		return nil
+	}
+	step := func(op opKind, arg uint8) error {
+		switch op {
+		case opEnqueue:
+			if inc.Down() {
+				return nil // the simulator never maps onto a down machine
+			}
+			enqueue(int(arg)%3, arg)
+		case opStart:
+			if inc.Down() {
+				return nil
+			}
+			if st, rt := inc.StartNext(now), ref.startNext(now); (st == nil) != (rt == nil) {
+				return fmt.Errorf("StartNext mismatch")
+			}
+		case opComplete:
+			if inc.Running() == nil {
+				return nil
+			}
+			inc.Complete(now)
+			ref.complete(now)
+		case opDrop:
+			pred := func(e Entry) bool { return (arg>>(uint(e.Task.ID)%8))&1 == 1 }
+			return sameTasks("dropped", inc.DropPending(now, pred, nil), ref.dropPending(now, pred))
+		case opExpire:
+			// Two reactive sweeps with no read between them, so the second
+			// lazy repair composes with the first.
+			missed := func(e Entry) bool { return e.Task.Missed(now) }
+			if err := sameTasks("expired", inc.DropMissed(now, nil), ref.dropPending(now, missed)); err != nil {
+				return err
+			}
+			now += float64(arg%9) * 0.5
+			return sameTasks("expired", inc.DropMissed(now, nil), ref.dropPending(now, missed))
+		case opRefresh:
+			inc.RefreshPCTs(now)
+			ref.refreshPCTs(now)
+		case opAdvance:
+			now += float64(arg%13) * 0.4
+		case opFail:
+			if inc.Down() {
+				return nil
+			}
+			return sameTasks("orphans", inc.Fail(), ref.fail())
+		case opJoin:
+			if !inc.Down() {
+				return nil
+			}
+			inc.Rejoin()
+			ref.rejoin()
+		case opSwapPET:
+			if inc.Down() {
+				return nil
+			}
+			next := equivLookup
+			if arg&1 == 1 {
+				next = equivSlowLookup
+			}
+			inc.SetPET(next)
+			ref.setPET(next)
+		case opObserve:
+			if inc.Down() {
+				return nil
+			}
+			if er, rr := inc.ExpectedReady(now), ref.expectedReady(now); math.Float64bits(er) != math.Float64bits(rr) {
+				return fmt.Errorf("ExpectedReady %v vs %v", er, rr)
+			}
+			tt := int(arg) % 3
+			deadline := now + float64(arg%11)
+			ci := inc.ChanceIfEnqueued(tt, deadline, now)
+			cr := ref.chanceIfEnqueued(tt, deadline, now)
+			if math.Float64bits(ci) != math.Float64bits(cr) {
+				return fmt.Errorf("chance %v vs %v", ci, cr)
+			}
+		case opDefer:
+			if inc.Down() {
+				return nil
+			}
+			// Ask about every type in an arg-seeded order without
+			// mutating, re-ask one (a memo hit), then map one — the
+			// pattern batch mapping produces between mutations.
+			order := rand.New(rand.NewSource(int64(arg))).Perm(3)
+			order = append(order, order[int(arg)%3])
+			for k, tt := range order {
+				deadline := now + float64((int(arg)+k)%11)
+				ci := inc.ChanceIfEnqueued(tt, deadline, now)
+				cr := ref.chanceIfEnqueued(tt, deadline, now)
+				if math.Float64bits(ci) != math.Float64bits(cr) {
+					return fmt.Errorf("query %d (type %d): chance %v vs %v", k, tt, ci, cr)
+				}
+			}
+			enqueue(order[int(arg>>2)%3], arg)
+		}
+		return nil
+	}
+	for i, op := range ops {
+		if err := step(op, args[i]); err != nil {
+			return fmt.Errorf("step %d (op %d, arg %d): %v", i, op, args[i], err)
+		}
+		if err := check(); err != nil {
+			return fmt.Errorf("step %d (op %d, arg %d): %v", i, op, args[i], err)
+		}
+	}
+	// Final cross-check of the machine-free view.
+	if err := pmfBitwise(inc.LastPCT(now), ref.lastPCT(now)); err != nil {
+		return fmt.Errorf("final LastPCT: %v", err)
+	}
+	return nil
+}
+
 // TestPropIncrementalEquivalentToFullRecompute drives the incremental
 // machine and the full-recompute reference through identical randomized
 // operation sequences and requires bitwise-equal queue state throughout.
 func TestPropIncrementalEquivalentToFullRecompute(t *testing.T) {
-	lookup := randomPET()
-	slowLookup := degradedPET(lookup)
 	f := func(sc equivScenario) bool {
-		inc := New(0, 0, lookup, 1)
-		scratch := &pmf.Scratch{}
-		inc.SetScratch(scratch)
-		ref := &refMachine{pet: lookup, binWidth: 1}
-		now := 0.0
-		nextID := 0
-		check := func(step int) bool {
-			incPending := inc.Pending()
-			ref.refreshIfStale()
-			if len(incPending) != len(ref.pending) {
-				t.Logf("step %d: pending %d vs %d", step, len(incPending), len(ref.pending))
-				return false
-			}
-			for i := range incPending {
-				if incPending[i].Task.ID != ref.pending[i].Task.ID {
-					t.Logf("step %d entry %d: task mismatch", step, i)
-					return false
-				}
-				if err := pmfBitwise(incPending[i].PCT, ref.pending[i].PCT); err != nil {
-					t.Logf("step %d entry %d: %v", step, i, err)
-					return false
-				}
-			}
-			return true
-		}
-		for step, op := range sc.ops {
-			arg := sc.args[step]
-			switch op {
-			case opEnqueue:
-				if inc.Down() {
-					continue // the simulator never maps onto a down machine
-				}
-				tt := int(arg) % 3
-				a := task.New(nextID, tt, now, now+float64(arg%17)+1)
-				b := task.New(nextID, tt, now, now+float64(arg%17)+1)
-				nextID++
-				inc.Enqueue(a, now)
-				ref.enqueue(b, now)
-			case opStart:
-				if inc.Down() {
-					continue
-				}
-				st := inc.StartNext(now)
-				rt := ref.startNext(now)
-				if (st == nil) != (rt == nil) {
-					t.Logf("step %d: StartNext mismatch", step)
-					return false
-				}
-			case opComplete:
-				if inc.Running() == nil {
-					continue
-				}
-				inc.Complete(now)
-				ref.complete(now)
-			case opDrop:
-				mask := arg
-				pred := func(e Entry) bool { return (mask>>(uint(e.Task.ID)%8))&1 == 1 }
-				di := inc.DropPending(now, pred)
-				dr := ref.dropPending(now, pred)
-				if len(di) != len(dr) {
-					t.Logf("step %d: dropped %d vs %d", step, len(di), len(dr))
-					return false
-				}
-				for i := range di {
-					if di[i].ID != dr[i].ID {
-						t.Logf("step %d: dropped order mismatch", step)
-						return false
-					}
-				}
-			case opRefresh:
-				inc.RefreshPCTs(now)
-				ref.refreshPCTs(now)
-			case opAdvance:
-				now += float64(arg%13) * 0.4
-			case opFail:
-				if inc.Down() {
-					continue
-				}
-				oi := inc.Fail()
-				or := ref.fail()
-				if len(oi) != len(or) {
-					t.Logf("step %d: orphans %d vs %d", step, len(oi), len(or))
-					return false
-				}
-				for i := range oi {
-					if oi[i].ID != or[i].ID {
-						t.Logf("step %d: orphan order mismatch", step)
-						return false
-					}
-				}
-			case opJoin:
-				if !inc.Down() {
-					continue
-				}
-				inc.Rejoin()
-				ref.rejoin()
-			case opSwapPET:
-				if inc.Down() {
-					continue
-				}
-				next := lookup
-				if arg&1 == 1 {
-					next = slowLookup
-				}
-				inc.SetPET(next)
-				ref.setPET(next)
-			case opObserve:
-				if inc.Down() {
-					continue
-				}
-				if er, rr := inc.ExpectedReady(now), ref.expectedReady(now); math.Float64bits(er) != math.Float64bits(rr) {
-					t.Logf("step %d: ExpectedReady %v vs %v", step, er, rr)
-					return false
-				}
-				tt := int(arg) % 3
-				deadline := now + float64(arg%11)
-				ci := inc.ChanceIfEnqueued(tt, deadline, now)
-				cr := ref.chanceIfEnqueued(tt, deadline, now)
-				if math.Float64bits(ci) != math.Float64bits(cr) {
-					t.Logf("step %d: chance %v vs %v", step, ci, cr)
-					return false
-				}
-			case opDefer:
-				if inc.Down() {
-					continue
-				}
-				// Ask about every type in an arg-seeded order without
-				// mutating, re-ask one (a memo hit), then map one — the
-				// pattern batch mapping produces between mutations.
-				order := rand.New(rand.NewSource(int64(arg))).Perm(3)
-				order = append(order, order[int(arg)%3])
-				for k, tt := range order {
-					deadline := now + float64((int(arg)+k)%11)
-					ci := inc.ChanceIfEnqueued(tt, deadline, now)
-					cr := ref.chanceIfEnqueued(tt, deadline, now)
-					if math.Float64bits(ci) != math.Float64bits(cr) {
-						t.Logf("step %d query %d (type %d): chance %v vs %v", step, k, tt, ci, cr)
-						return false
-					}
-				}
-				tt := order[int(arg>>2)%3]
-				a := task.New(nextID, tt, now, now+float64(arg%17)+1)
-				b := task.New(nextID, tt, now, now+float64(arg%17)+1)
-				nextID++
-				inc.Enqueue(a, now)
-				ref.enqueue(b, now)
-			}
-			if !check(step) {
-				return false
-			}
-		}
-		// Final cross-check of the machine-free view.
-		if err := pmfBitwise(inc.LastPCT(now), ref.lastPCT(now)); err != nil {
-			t.Logf("final LastPCT: %v", err)
+		if err := runOps(sc.ops, sc.args); err != nil {
+			t.Log(err)
 			return false
 		}
 		return true

@@ -14,9 +14,10 @@
 // to its conclusion): the machine tracks the identity of the anchor
 // distribution its PCT chain is built on (anchorKey) and the length of the
 // valid prefix (validTo), so Enqueue appends one convolution, DropPending
-// reconvolves only from the first drop, and RefreshPCTs is a no-op whenever
-// conditioning the running task's completion on the current time yields the
-// same distribution as before. All chain arithmetic runs through the
+// reconvolves only from the first drop, DropMissed repairs nothing until the
+// chain is next read, and RefreshPCTs is a no-op whenever conditioning the
+// running task's completion on the current time yields the same
+// distribution as before. All chain arithmetic runs through the
 // in-place pmf kernel with machine-owned buffers recycled via a
 // pmf.Scratch, so steady-state operation does not allocate.
 //
@@ -97,9 +98,18 @@ type Machine struct {
 
 	// Incremental-PCT state. Invariant: pending[:validTo] hold exactly the
 	// PCTs a full reconvolution from the anchor identified by chainKey
-	// would produce (bitwise).
+	// would produce (bitwise). validTo may sit anywhere in [0, len]; the
+	// stale suffix is rebuilt on the next read (refreshIfStale). chainAt is
+	// the time chainKey was derived at, which anchorFor needs to rebuild
+	// the anchor itself.
 	chainKey anchorKey
+	chainAt  float64
 	validTo  int
+
+	// minDeadline is a lower bound on the deadlines of the pending tasks:
+	// while now <= minDeadline no pending task has missed, so DropMissed
+	// returns without scanning. Removals keep it a valid bound.
+	minDeadline float64
 
 	// scratch recycles PMF buffers; nil means allocate (still correct).
 	scratch *pmf.Scratch
@@ -310,29 +320,30 @@ func (m *Machine) reconvolve(start int, prev *pmf.PMF) {
 	}
 }
 
-// refreshIfStale rebuilds PCT chains invalidated by start or completion
-// events. Anchoring uses the running task's completion distribution
-// unconditioned, so callers that need "as of now" precision should call
-// RefreshPCTs(now) explicitly; this fallback anchor is correct immediately
-// after the invalidating event.
+// refreshIfStale rebuilds the stale suffix pending[validTo:]. A rebuild
+// from the head uses the anchor chainKey names, as of chainAt; with no
+// explicit anchor it falls back to the running task's completion
+// distribution unconditioned (or, on an idle machine, a point mass at the
+// head's arrival). Callers that need "as of now" precision should call
+// RefreshPCTs(now) explicitly; the fallback anchor is correct immediately
+// after the start or completion event that invalidated the chain.
 func (m *Machine) refreshIfStale() {
 	if m.validTo >= len(m.pending) {
 		return
 	}
-	start := m.validTo
-	var prev *pmf.PMF
-	switch {
-	case start > 0:
-		prev = m.pending[start-1].PCT
-	case m.running != nil:
-		m.chainKey = anchorKey{kind: anchorRaw, runID: m.running.ID}
-		prev = m.runningCompletion
-	default:
-		t := m.pending[0].Task.Arrival
-		m.chainKey = anchorKey{kind: anchorDelta, bin: int(math.Round(t / m.binWidth))}
-		prev = m.anchorFor(m.chainKey, t)
+	if start := m.validTo; start > 0 {
+		m.reconvolve(start, m.pending[start-1].PCT)
+		return
 	}
-	m.reconvolve(start, prev)
+	if m.chainKey.kind == anchorNone {
+		if m.running != nil {
+			m.chainKey, m.chainAt = anchorKey{kind: anchorRaw, runID: m.running.ID}, m.running.Start
+		} else {
+			t := m.pending[0].Task.Arrival
+			m.chainKey, m.chainAt = anchorKey{kind: anchorDelta, bin: int(math.Round(t / m.binWidth))}, t
+		}
+	}
+	m.reconvolve(0, m.anchorFor(m.chainKey, m.chainAt))
 }
 
 // LastPCT returns the completion-time PMF of the last task in the queue (or
@@ -423,7 +434,10 @@ func (m *Machine) Enqueue(t *task.Task, now float64) {
 	m.chance[t.Type].pct = nil
 	if len(m.pending) == 0 {
 		// A fresh chain starts on the anchor the PCT was just built from.
-		m.chainKey = m.anchorKeyAt(now)
+		m.chainKey, m.chainAt = m.anchorKeyAt(now), now
+		m.minDeadline = t.Deadline
+	} else if t.Deadline < m.minDeadline {
+		m.minDeadline = t.Deadline
 	}
 	t.Status = task.StatusMachineQueued
 	t.Machine = m.id
@@ -454,7 +468,7 @@ func (m *Machine) StartNext(now float64) *task.Task {
 	m.scratch.Put(d)
 	m.scratch.Put(head.PCT)
 	// Remaining pending PCTs are now anchored on the new running task.
-	m.chainKey = anchorKey{kind: anchorRaw, runID: m.running.ID}
+	m.chainKey, m.chainAt = anchorKey{kind: anchorRaw, runID: m.running.ID}, now
 	m.validTo = 0
 	m.bumpVer()
 	return m.running
@@ -482,24 +496,71 @@ func (m *Machine) Complete(now float64) *task.Task {
 	return t
 }
 
+// DropMissed removes every pending task whose deadline has passed
+// (Task.Missed(now)), in FCFS order, appends them to dst and returns the
+// extended slice — the reactive sweep of Figure 5 step 1. Like DropPending
+// it leaves the dropped tasks' status to the caller.
+//
+// Its predicate reads no PCT, so it does no PET lookup and no convolution:
+// the survivors from the first drop on are marked stale and rebuilt on the
+// next read, on the same anchor an eager DropPending would have used (the
+// anchor at now when the head itself was dropped). While now is at or below
+// the pending-deadline watermark it returns without scanning.
+func (m *Machine) DropMissed(now float64, dst []*task.Task) []*task.Task {
+	if len(m.pending) == 0 || now <= m.minDeadline {
+		return dst
+	}
+	first := -1
+	lo := math.Inf(1)
+	kept := m.pending[:0]
+	for i, e := range m.pending {
+		if e.Task.Missed(now) {
+			if first < 0 {
+				first = i
+			}
+			e.Task.Machine = m.id // preserved for accounting
+			dst = append(dst, e.Task)
+			m.scratch.Put(e.PCT)
+			continue
+		}
+		if e.Task.Deadline < lo {
+			lo = e.Task.Deadline
+		}
+		kept = append(kept, e)
+	}
+	m.minDeadline = lo
+	if first < 0 {
+		return dst
+	}
+	clear(m.pending[len(kept):])
+	m.pending = kept
+	if first == 0 {
+		m.chainKey, m.chainAt = m.anchorKeyAt(now), now
+	}
+	m.validTo = min(m.validTo, first)
+	m.bumpVer()
+	return dst
+}
+
 // DropPending removes every pending task for which shouldDrop returns true,
 // in FCFS order, and recomputes the PCTs of the survivors behind a drop from
 // the machine's current state (the paper's queue-shortening effect: dropped
 // tasks no longer contribute to the compound uncertainty of those behind
-// them). Dropped tasks are returned; their status is NOT modified — the
-// caller decides between reactive and proactive drop accounting.
+// them). Dropped tasks are appended to dst, which is returned; their status
+// is NOT modified — the caller decides between reactive and proactive drop
+// accounting. With a reused dst it allocates nothing in steady state.
 //
 // shouldDrop sees each entry's PCT reflecting any drops already made ahead
-// of it, and must not call back into the machine. Entries ahead of the
-// first drop keep their memoized PCTs (the paper's Section V-A notes
-// memoization of partial convolution results keeps the pruner's overhead
-// negligible; a sweep that drops nothing performs no convolutions at all).
-func (m *Machine) DropPending(now float64, shouldDrop func(e Entry) bool) []*task.Task {
+// of it, and must not call back into the machine; that is why the repair is
+// eager here, unlike DropMissed's. Entries ahead of the first drop keep
+// their memoized PCTs (the paper's Section V-A notes memoization of partial
+// convolution results keeps the pruner's overhead negligible; a sweep that
+// drops nothing over a valid chain performs no convolutions at all).
+func (m *Machine) DropPending(now float64, shouldDrop func(e Entry) bool, dst []*task.Task) []*task.Task {
 	if len(m.pending) == 0 {
-		return nil
+		return dst
 	}
 	m.refreshIfStale()
-	var dropped []*task.Task
 	var prev *pmf.PMF // anchor for recomputation; set at the first drop
 	dirty := false
 	kept := m.pending[:0]
@@ -515,11 +576,11 @@ func (m *Machine) DropPending(now float64, shouldDrop func(e Entry) bool) []*tas
 				} else {
 					key := m.anchorKeyAt(now)
 					prev = m.anchorFor(key, now)
-					m.chainKey = key
+					m.chainKey, m.chainAt = key, now
 				}
 			}
 			e.Task.Machine = m.id // preserved for accounting
-			dropped = append(dropped, e.Task)
+			dst = append(dst, e.Task)
 			m.scratch.Put(e.PCT)
 			continue
 		}
@@ -529,15 +590,13 @@ func (m *Machine) DropPending(now float64, shouldDrop func(e Entry) bool) []*tas
 		}
 	}
 	// Zero the vacated slots so dropped tasks are not retained.
-	for i := len(kept); i < len(m.pending); i++ {
-		m.pending[i] = Entry{}
-	}
+	clear(m.pending[len(kept):])
 	m.pending = kept
 	m.validTo = len(kept)
 	if dirty {
 		m.bumpVer()
 	}
-	return dropped
+	return dst
 }
 
 // RefreshPCTs recomputes the pending PCTs anchored at time now. Mapping
@@ -554,7 +613,7 @@ func (m *Machine) RefreshPCTs(now float64) {
 	if key == m.chainKey {
 		start = m.validTo
 	} else {
-		m.chainKey = key
+		m.chainKey, m.chainAt = key, now
 	}
 	var prev *pmf.PMF
 	if start > 0 {

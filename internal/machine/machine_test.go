@@ -157,7 +157,7 @@ func TestDropPendingRecomputesPCT(t *testing.T) {
 	m.Enqueue(b, 0)
 	// Before drop: b's PCT = PET0*PET1 = {3:.5, 5:.5}, mean 4.
 	before := m.Pending()[1].PCT.Mean()
-	dropped := m.DropPending(0, func(e Entry) bool { return e.Task.ID == 0 })
+	dropped := m.DropPending(0, func(e Entry) bool { return e.Task.ID == 0 }, nil)
 	if len(dropped) != 1 || dropped[0] != a {
 		t.Fatalf("dropped %v", dropped)
 	}
@@ -184,7 +184,7 @@ func TestDropPendingSeesUpdatedPCTs(t *testing.T) {
 	b := task.New(1, 0, 0, 10)
 	m.Enqueue(a, 0)
 	m.Enqueue(b, 0)
-	dropped := m.DropPending(0, func(e Entry) bool { return e.PCT.Mean() > 4 })
+	dropped := m.DropPending(0, func(e Entry) bool { return e.PCT.Mean() > 4 }, nil)
 	// a's PCT mean is 3 (survives); b's refreshed PCT mean is then 6 (drops).
 	if len(dropped) != 1 || dropped[0] != b {
 		t.Fatalf("dropped %v, want just task 1", dropped)
@@ -193,7 +193,7 @@ func TestDropPendingSeesUpdatedPCTs(t *testing.T) {
 
 func TestDropPendingNothing(t *testing.T) {
 	m := newTestMachine()
-	if got := m.DropPending(0, func(Entry) bool { return true }); got != nil {
+	if got := m.DropPending(0, func(Entry) bool { return true }, nil); got != nil {
 		t.Fatalf("drop on empty queue returned %v", got)
 	}
 }

@@ -48,7 +48,7 @@ func TestPropDropReducesSuccessorMeans(t *testing.T) {
 		for _, e := range m.Pending() {
 			before[e.Task.ID] = e.PCT.Mean()
 		}
-		m.DropPending(0, func(e Entry) bool { return sc.drop[e.Task.ID] })
+		m.DropPending(0, func(e Entry) bool { return sc.drop[e.Task.ID] }, nil)
 		for _, e := range m.Pending() {
 			if e.PCT.Mean() > before[e.Task.ID]+1e-9 {
 				return false
@@ -70,7 +70,7 @@ func TestPropQueueConservation(t *testing.T) {
 			m.Enqueue(task.New(i, tt, 0, 1000), 0)
 		}
 		started := m.StartNext(0)
-		dropped := m.DropPending(0, func(e Entry) bool { return sc.drop[e.Task.ID] })
+		dropped := m.DropPending(0, func(e Entry) bool { return sc.drop[e.Task.ID] }, nil)
 		total := len(dropped) + m.PendingCount()
 		if started != nil {
 			total++

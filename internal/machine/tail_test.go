@@ -47,7 +47,7 @@ func TestTailEpsIncrementalMatchesFullRebuild(t *testing.T) {
 			t.Fatal("StartNext returned nil")
 		}
 		now += 1.25
-		m.DropPending(now, func(e Entry) bool { return e.Task.ID%4 == 2 })
+		m.DropPending(now, func(e Entry) bool { return e.Task.ID%4 == 2 }, nil)
 		m.RefreshPCTs(now) // anchor the chain exactly at `now`
 		pend := m.Pending()
 		saved := make([]*pmf.PMF, len(pend))
