@@ -23,7 +23,6 @@ func (*MM) Name() string { return "MM" }
 // Map implements Batch.
 func (*MM) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 	v := newVirtualState(ctx)
-	defer v.release()
 	remaining := v.tasks(unmapped)
 	out := ctx.AssignBuf[:0]
 	for v.total > 0 && len(remaining) > 0 {
@@ -105,7 +104,6 @@ func mapPerMachineRounds(ctx *Context, unmapped []*task.Task,
 	key func(t *task.Task, completion float64) (primary, secondary float64)) []Assignment {
 
 	v := newVirtualState(ctx)
-	defer v.release()
 	remaining := v.tasks(unmapped)
 	v.roundBuffers(len(ctx.Machines), len(remaining))
 	out := ctx.AssignBuf[:0]

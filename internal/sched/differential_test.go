@@ -1,0 +1,295 @@
+package sched
+
+import (
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"prunesim/internal/machine"
+	"prunesim/internal/pmf"
+	"prunesim/internal/task"
+)
+
+// The tests in this file pin the memoized batch mapping (per-Context
+// virtual state, per-type bestMachine answers reused across Map calls) to
+// a naive recomputation. A replay imitates the simulator's batch mapping
+// event: Map, defer a random subset of the answer, enqueue the rest, and
+// Map again over what is left, all on one shared Context.
+
+// replayFixture is a random batch-mode platform: machines (some down, some
+// full, many with tied ready times) and a pool of tasks over few types with
+// tied deadlines.
+type replayFixture struct {
+	ctx   *Context
+	tasks []*task.Task
+	rng   *rand.Rand
+}
+
+// newReplayFixture builds the platform for seed. Two fixtures with equal
+// arguments are identical but share nothing, so a heuristic and its
+// reference can each mutate their own.
+func newReplayFixture(seed uint64, nMachines, nTasks, nTypes int) *replayFixture {
+	rng := rand.New(rand.NewPCG(seed, 0x5eed))
+	// Means are multiples of the 0.5 bin width from a small set, so PCTs
+	// are exact and ready times tie across machines.
+	means := make([][]float64, nTypes)
+	for i := range means {
+		means[i] = make([]float64, nMachines)
+		for j := range means[i] {
+			means[i][j] = 0.5 * float64(1+rng.IntN(6))
+		}
+	}
+	slots := 1 + rng.IntN(3)
+	if rng.IntN(8) == 0 {
+		slots = 0 // unbounded queues
+	}
+	machines := make([]*machine.Machine, nMachines)
+	for j := range machines {
+		j := j
+		machines[j] = machine.New(j, j, func(tt int) *pmf.PMF { return pmf.Delta(means[tt][j], 0.5) }, 0.5)
+	}
+	ctx := &Context{
+		Machines: machines,
+		MeanExec: func(tt, j int) float64 { return means[tt][j] },
+		Slots:    slots,
+	}
+	id := 0
+	newTask := func() *task.Task {
+		t := task.New(id, rng.IntN(nTypes), 0, float64(2+rng.IntN(8)))
+		id++
+		return t
+	}
+	for j, m := range machines {
+		switch rng.IntN(5) {
+		case 0:
+			m.Fail()
+		case 1: // full (or loaded, with unbounded queues)
+			for k := 0; k < max(slots, 2); k++ {
+				m.Enqueue(newTask(), 0)
+			}
+		case 2: // busy with one pending task
+			m.Enqueue(newTask(), 0)
+			m.StartNext(0)
+			if slots != 1 || j%2 == 0 {
+				m.Enqueue(newTask(), 0)
+			}
+		}
+	}
+	id = 1000
+	tasks := make([]*task.Task, nTasks)
+	for i := range tasks {
+		tasks[i] = newTask()
+	}
+	return &replayFixture{ctx: ctx, tasks: tasks, rng: rng}
+}
+
+// hasFree reports whether any machine of ctx can take a task.
+func hasFree(ctx *Context) bool {
+	for j := range ctx.Machines {
+		if ctx.freeSlots(j) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// replay runs the batch mapping event over f twice (at two successive
+// times) and calls check with each Map answer, copied, and the arguments
+// it was computed from. A task is deferred with probability 1/2.
+func (f *replayFixture) replay(t *testing.T, h Batch, check func(now float64, avail []*task.Task, got []Assignment)) {
+	t.Helper()
+	avail := slices.Clone(f.tasks)
+	for _, now := range []float64{0, 1.5} {
+		f.ctx.Now = now
+		pending := slices.Clone(avail)
+		for len(pending) > 0 && hasFree(f.ctx) {
+			got := slices.Clone(h.Map(f.ctx, pending))
+			check(now, pending, got)
+			if len(got) == 0 {
+				break
+			}
+			for _, a := range got {
+				if f.rng.IntN(2) == 0 {
+					continue // deferred
+				}
+				f.ctx.Machines[a.Machine].Enqueue(a.Task, now)
+				avail = slices.DeleteFunc(avail, func(t *task.Task) bool { return t == a.Task })
+			}
+			pending = slices.DeleteFunc(pending, func(t *task.Task) bool {
+				return slices.ContainsFunc(got, func(a Assignment) bool { return a.Task == t })
+			})
+		}
+	}
+}
+
+// naiveState recomputes the virtual machine state from scratch, reading
+// every usable machine's expected ready time.
+func naiveState(ctx *Context) (ready []float64, free []int) {
+	ready = make([]float64, len(ctx.Machines))
+	free = make([]int, len(ctx.Machines))
+	for j, m := range ctx.Machines {
+		ready[j] = math.Inf(1)
+		if m.Down() {
+			continue
+		}
+		ready[j] = m.ExpectedReady(ctx.Now)
+		free[j] = math.MaxInt32
+		if ctx.Slots > 0 {
+			free[j] = max(ctx.Slots-m.PendingCount(), 0)
+		}
+	}
+	return ready, free
+}
+
+// naiveBest scans every machine for t's minimum completion time; the
+// lowest index wins ties.
+func naiveBest(ctx *Context, ready []float64, free []int, t *task.Task) (int, float64) {
+	best, bestC := -1, math.Inf(1)
+	for j := range ready {
+		if free[j] > 0 {
+			if c := ready[j] + ctx.MeanExec(t.Type, j); c < bestC {
+				best, bestC = j, c
+			}
+		}
+	}
+	return best, bestC
+}
+
+// naiveMM is Min-Min recomputed per task, per round.
+func naiveMM(ctx *Context, unmapped []*task.Task) []Assignment {
+	ready, free := naiveState(ctx)
+	remaining := slices.Clone(unmapped)
+	var out []Assignment
+	for len(remaining) > 0 {
+		bestI, bestJ, bestC := -1, -1, math.Inf(1)
+		for i, t := range remaining {
+			if j, c := naiveBest(ctx, ready, free, t); j >= 0 && c < bestC {
+				bestI, bestJ, bestC = i, j, c
+			}
+		}
+		if bestI < 0 {
+			break
+		}
+		t := remaining[bestI]
+		out = append(out, Assignment{Task: t, Machine: bestJ})
+		ready[bestJ] += ctx.MeanExec(t.Type, bestJ)
+		free[bestJ]--
+		remaining = slices.Delete(remaining, bestI, bestI+1)
+	}
+	return out
+}
+
+// naiveRounds is the MSD/MMU round structure recomputed per task: each
+// task nominates its best machine, each machine keeps the nominee with the
+// smallest key (earliest nominee on ties), and picks commit in task order.
+func naiveRounds(ctx *Context, unmapped []*task.Task, key func(t *task.Task, c float64) (float64, float64)) []Assignment {
+	ready, free := naiveState(ctx)
+	remaining := slices.Clone(unmapped)
+	var out []Assignment
+	for len(remaining) > 0 {
+		type nominee struct {
+			i      int
+			p1, p2 float64
+		}
+		picks := map[int]nominee{}
+		for i, t := range remaining {
+			j, c := naiveBest(ctx, ready, free, t)
+			if j < 0 {
+				continue
+			}
+			p1, p2 := key(t, c)
+			if cur, ok := picks[j]; !ok || p1 < cur.p1 || (p1 == cur.p1 && p2 < cur.p2) {
+				picks[j] = nominee{i, p1, p2}
+			}
+		}
+		var kept []*task.Task
+		for i, t := range remaining {
+			j := -1
+			for m, n := range picks {
+				if n.i == i {
+					j = m
+				}
+			}
+			if j >= 0 {
+				out = append(out, Assignment{Task: t, Machine: j})
+				ready[j] += ctx.MeanExec(t.Type, j)
+				free[j]--
+				continue
+			}
+			kept = append(kept, t)
+		}
+		if len(kept) == len(remaining) {
+			break
+		}
+		remaining = kept
+	}
+	return out
+}
+
+func urgencyKey(t *task.Task, c float64) (float64, float64) {
+	diff := t.Deadline - c
+	if diff == 0 {
+		return math.Inf(-1), c
+	}
+	return -1 / diff, c
+}
+
+func sameAssignments(t *testing.T, name string, now float64, got, want []Assignment) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s at now=%v: %d assignments, want %d\n got %v\nwant %v", name, now, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s at now=%v: assignment %d = (task %d, machine %d), want (task %d, machine %d)",
+				name, now, i, got[i].Task.ID, got[i].Machine, want[i].Task.ID, want[i].Machine)
+		}
+	}
+}
+
+// checkBatchReplay replays every batch heuristic on the fixture for the
+// given shape. MM, MSD and MMU are checked against their naive
+// recomputation; the others against themselves on a fresh Context per
+// call.
+func checkBatchReplay(t *testing.T, seed uint64, nMachines, nTasks, nTypes int) {
+	naive := map[string]func(*Context, []*task.Task) []Assignment{
+		"MM": naiveMM,
+		"MSD": func(ctx *Context, ts []*task.Task) []Assignment {
+			return naiveRounds(ctx, ts, func(t *task.Task, c float64) (float64, float64) { return t.Deadline, c })
+		},
+		"MMU": func(ctx *Context, ts []*task.Task) []Assignment { return naiveRounds(ctx, ts, urgencyKey) },
+	}
+	for _, name := range []string{"MM", "MSD", "MMU", "MaxMin", "Sufferage", "FCFS-RR", "EDF", "SJF"} {
+		h, _, _ := ByName(name)
+		twin, _, _ := ByName(name) // FCFS-RR keeps a cursor: the fresh-Context run needs its own
+		f := newReplayFixture(seed, nMachines, nTasks, nTypes)
+		f.replay(t, h.(Batch), func(now float64, avail []*task.Task, got []Assignment) {
+			var want []Assignment
+			if ref, ok := naive[name]; ok {
+				want = ref(f.ctx, avail)
+			} else {
+				fresh := &Context{Now: now, Machines: f.ctx.Machines, MeanExec: f.ctx.MeanExec, Slots: f.ctx.Slots}
+				want = twin.(Batch).Map(fresh, avail)
+			}
+			sameAssignments(t, name, now, got, want)
+		})
+	}
+}
+
+func TestBatchMapDifferential(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 1))
+		checkBatchReplay(t, seed, 1+rng.IntN(8), 1+rng.IntN(40), 1+rng.IntN(12))
+	}
+}
+
+func FuzzBatchMap(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(12), uint8(4))
+	f.Add(uint64(2), uint8(1), uint8(40), uint8(1))
+	f.Add(uint64(3), uint8(5), uint8(7), uint8(12))
+	f.Add(uint64(4), uint8(3), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, nMachines, nTasks, nTypes uint8) {
+		checkBatchReplay(t, seed, 1+int(nMachines%12), 1+int(nTasks%40), 1+int(nTypes%12))
+	})
+}

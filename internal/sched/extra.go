@@ -53,7 +53,6 @@ func (*MaxMin) Name() string { return "MaxMin" }
 // Map implements Batch.
 func (*MaxMin) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 	v := newVirtualState(ctx)
-	defer v.release()
 	remaining := v.tasks(unmapped)
 	out := ctx.AssignBuf[:0]
 	for v.total > 0 && len(remaining) > 0 {

@@ -23,7 +23,6 @@ func (*FCFSRR) Name() string { return "FCFS-RR" }
 // Map implements Batch.
 func (f *FCFSRR) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 	v := newVirtualState(ctx)
-	defer v.release()
 	queue := v.tasks(unmapped)
 	sortTasksByArrival(queue)
 	n := len(ctx.Machines)
@@ -92,7 +91,6 @@ func (*SJF) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 // with the minimum expected completion time, until slots run out.
 func assignSorted(ctx *Context, unmapped []*task.Task, less func(a, b *task.Task) bool) []Assignment {
 	v := newVirtualState(ctx)
-	defer v.release()
 	queue := v.tasks(unmapped)
 	sort.SliceStable(queue, func(i, j int) bool { return less(queue[i], queue[j]) })
 	out := ctx.AssignBuf[:0]

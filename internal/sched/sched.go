@@ -13,8 +13,8 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 
 	"prunesim/internal/machine"
 	"prunesim/internal/task"
@@ -28,7 +28,11 @@ type Context struct {
 	// Machines are the worker nodes (index == machine ID).
 	Machines []*machine.Machine
 	// MeanExec returns the expected execution time of a task type on a
-	// machine (by machine ID), read from the PET matrix.
+	// machine (by machine ID), read from the PET matrix. It must return the
+	// same value for a given (type, machine index) for the Context's whole
+	// life: batch heuristics memoize answers derived from it across Map
+	// calls, keyed on machine state but not on MeanExec or Now (see
+	// virtualState).
 	MeanExec func(taskType, machineID int) float64
 	// Slots caps the number of pending (not yet running) tasks per machine
 	// queue in batch mode. Zero or negative means unbounded (immediate mode).
@@ -40,6 +44,10 @@ type Context struct {
 	// allocating. It makes one Map result only valid until the next Map call
 	// with the same Context (see Batch).
 	AssignBuf []Assignment
+
+	// vs is the batch heuristics' working state, kept across Map calls
+	// (see virtualState). Copies of a Context share it.
+	vs *virtualState
 }
 
 // Usable reports whether machine j can accept work: a machine taken down by
@@ -89,25 +97,43 @@ type Immediate interface {
 }
 
 // virtualState tracks expected machine readiness while a batch heuristic
-// builds its provisional mapping. Instances are pooled and carry reusable
-// buffers, so a mapping event in steady state allocates nothing but its
-// returned assignments: heuristics acquire one with newVirtualState and
-// release it when the Map call finishes.
+// builds its provisional mapping. Each Context owns one and every Map call
+// reuses its buffers, so a mapping event in steady state allocates nothing.
+//
+// bestMachine's answer depends only on the task's type, ready, free and
+// MeanExec, so memo keeps one answer per type, stamped with the generation
+// gen of the (ready, free) vectors it was computed on. assign moves to a
+// fresh generation (lastGen counts them). A Map call starting from vectors
+// bitwise-equal to the previous call's start (startReady, startFree)
+// resumes that start's generation, startGen: a deferral leaves every
+// machine unchanged, so the re-mapping after it reuses the answers.
 type virtualState struct {
 	ready []float64
 	free  []int
 	total int
 
+	memo                   []bestMemo
+	gen, lastGen, startGen uint64
+	startReady             []float64
+	startFree              []int
+
 	// remaining is the reusable working copy of the unmapped tasks (see
 	// tasks). picks, chosenMach and chosenStamp are the per-round nominee
 	// table and committed-task markers of mapPerMachineRounds; round is the
 	// monotonically increasing stamp that makes stale markers harmless
-	// across rounds, Map calls and pool reuses.
+	// across rounds and Map calls.
 	remaining   []*task.Task
 	picks       []pick
 	chosenMach  []int32
 	chosenStamp []int64
 	round       int64
+}
+
+// bestMemo is one task type's bestMachine answer in generation gen.
+type bestMemo struct {
+	gen        uint64
+	j          int
+	completion float64
 }
 
 // pick is one machine's best nominee within a mapping round.
@@ -116,94 +142,80 @@ type pick struct {
 	primary, secondary float64
 }
 
-// vsPool recycles virtualState buffers across mapping events and trials.
-var vsPool = sync.Pool{New: func() any { return new(virtualState) }}
-
+// newVirtualState loads ctx's virtual state from the machines.
 func newVirtualState(ctx *Context) *virtualState {
-	v := vsPool.Get().(*virtualState)
-	n := len(ctx.Machines)
-	if cap(v.ready) < n {
-		v.ready = make([]float64, n)
-		v.free = make([]int, n)
+	if ctx.vs == nil {
+		ctx.vs = new(virtualState)
 	}
-	v.ready = v.ready[:n]
-	v.free = v.free[:n]
+	v, n := ctx.vs, len(ctx.Machines)
+	same := v.startGen != 0 && len(v.ready) == n
+	v.ready, v.startReady = slices.Grow(v.ready[:0], n)[:n], slices.Grow(v.startReady[:0], n)[:n]
+	v.free, v.startFree = slices.Grow(v.free[:0], n)[:n], slices.Grow(v.startFree[:0], n)[:n]
 	v.total = 0
 	for j, m := range ctx.Machines {
-		if m.Down() {
-			// No slots and an unreachable ready time: every batch heuristic
-			// routes machine choice through free/ready, so this one branch
-			// hides down machines from all of them.
-			v.ready[j] = math.Inf(1)
-			v.free[j] = 0
-			continue
+		// A down or full machine gets no slots and an unreachable ready
+		// time. Every batch heuristic reads ready[j] only where free[j] > 0,
+		// so skipping ExpectedReady there changes no answer, and this one
+		// branch hides down machines from all of them.
+		f, r := max(ctx.freeSlots(j), 0), math.Inf(1)
+		if f > 0 {
+			r = m.ExpectedReady(ctx.Now)
 		}
-		v.ready[j] = m.ExpectedReady(ctx.Now)
-		f := ctx.freeSlots(j)
-		if f < 0 {
-			f = 0
-		}
-		v.free[j] = f
+		same = same && math.Float64bits(r) == math.Float64bits(v.startReady[j]) && f == v.startFree[j]
+		v.ready[j], v.startReady[j], v.free[j], v.startFree[j] = r, r, f, f
 		v.total += f
 	}
+	if !same {
+		v.lastGen++
+		v.startGen = v.lastGen
+	}
+	v.gen = v.startGen
 	return v
-}
-
-// release returns v to the pool. The caller must drop every reference into
-// v's buffers first.
-func (v *virtualState) release() {
-	v.remaining = v.remaining[:0]
-	vsPool.Put(v)
 }
 
 // tasks fills and returns v's reusable working copy of ts.
 func (v *virtualState) tasks(ts []*task.Task) []*task.Task {
-	if cap(v.remaining) < len(ts) {
-		v.remaining = make([]*task.Task, 0, len(ts))
-	}
 	v.remaining = append(v.remaining[:0], ts...)
 	return v.remaining
 }
 
 // roundBuffers sizes the mapPerMachineRounds working arrays.
 func (v *virtualState) roundBuffers(nMachines, nTasks int) {
-	if cap(v.picks) < nMachines {
-		v.picks = make([]pick, nMachines)
-	}
-	v.picks = v.picks[:nMachines]
-	if cap(v.chosenMach) < nTasks {
-		v.chosenMach = make([]int32, nTasks)
-		v.chosenStamp = make([]int64, nTasks)
-	}
-	v.chosenMach = v.chosenMach[:nTasks]
-	v.chosenStamp = v.chosenStamp[:nTasks]
+	v.picks = slices.Grow(v.picks[:0], nMachines)[:nMachines]
+	v.chosenMach = slices.Grow(v.chosenMach[:0], nTasks)[:nTasks]
+	v.chosenStamp = slices.Grow(v.chosenStamp[:0], nTasks)[:nTasks]
 }
 
+// assign appends t to machine j's virtual queue, which starts a new
+// generation of bestMachine answers.
 func (v *virtualState) assign(ctx *Context, t *task.Task, j int) {
 	v.ready[j] += ctx.MeanExec(t.Type, j)
 	v.free[j]--
 	v.total--
-}
-
-// completion returns the expected completion time of task t if appended to
-// machine j's virtual queue.
-func (v *virtualState) completion(ctx *Context, t *task.Task, j int) float64 {
-	return v.ready[j] + ctx.MeanExec(t.Type, j)
+	v.lastGen++
+	v.gen = v.lastGen
 }
 
 // bestMachine returns the machine with minimum expected completion time for
-// t among machines with free virtual slots, or -1 if none.
+// t among machines with free virtual slots (lowest index wins ties), or -1
+// if none.
 func (v *virtualState) bestMachine(ctx *Context, t *task.Task) (j int, completion float64) {
-	j, completion = -1, math.Inf(1)
-	for m := range ctx.Machines {
-		if v.free[m] <= 0 {
-			continue
-		}
-		if c := v.completion(ctx, t, m); c < completion {
-			j, completion = m, c
+	if t.Type >= len(v.memo) {
+		v.memo = slices.Grow(v.memo, t.Type+1-len(v.memo))[:t.Type+1]
+	}
+	e := &v.memo[t.Type]
+	if e.gen != v.gen {
+		e.gen, e.j, e.completion = v.gen, -1, math.Inf(1)
+		for m, f := range v.free {
+			if f <= 0 {
+				continue
+			}
+			if c := v.ready[m] + ctx.MeanExec(t.Type, m); c < e.completion {
+				e.j, e.completion = m, c
+			}
 		}
 	}
-	return j, completion
+	return e.j, e.completion
 }
 
 // ByName constructs a heuristic by its paper name. Immediate-mode names
@@ -255,7 +267,7 @@ func Names() []string {
 	}
 }
 
-// sortStable sorts assignments candidates deterministically.
+// sortTasksByArrival sorts ts by task ID, which is arrival order.
 func sortTasksByArrival(ts []*task.Task) {
 	sort.SliceStable(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
 }

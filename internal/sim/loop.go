@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"prunesim/internal/eventq"
 	"prunesim/internal/machine"
 	"prunesim/internal/sched"
@@ -153,25 +155,11 @@ func (s *simulator) batchMap() {
 		return
 	}
 	ctx := s.schedCtx()
-	// Tasks whose Mark equals the current mapping-event number were already
-	// deferred or enqueued within this event. MappingEvents is >= 1 here, so
-	// a fresh task's zero Mark never collides.
-	mark := s.res.MappingEvents
+	// avail is the arrival queue minus the tasks already deferred or
+	// enqueued within this event, in queue order.
+	avail := append(s.availBuf[:0], s.batch...)
 	enqueued := 0
-	for {
-		if s.totalFreeSlots() == 0 {
-			break
-		}
-		avail := s.availBuf[:0]
-		for _, t := range s.batch {
-			if t.Mark != mark {
-				avail = append(avail, t)
-			}
-		}
-		s.availBuf = avail
-		if len(avail) == 0 {
-			break
-		}
+	for len(avail) > 0 && s.totalFreeSlots() > 0 {
 		asgs := s.bat.Map(ctx, avail)
 		if len(asgs) == 0 {
 			break
@@ -184,15 +172,17 @@ func (s *simulator) batchMap() {
 				s.res.Deferrals++
 				s.pruner.RecordDeferral(a.Task.Type)
 				s.emitChance(TraceDeferred, a.Task, a.Machine, false, chance)
-				a.Task.Mark = mark
 				continue
 			}
 			m.Enqueue(a.Task, s.now)
 			s.emitChance(TraceMapped, a.Task, a.Machine, false, chance)
-			a.Task.Mark = mark
 			enqueued++
 		}
+		avail = slices.DeleteFunc(avail, func(t *task.Task) bool {
+			return slices.ContainsFunc(asgs, func(a sched.Assignment) bool { return a.Task == t })
+		})
 	}
+	s.availBuf = avail
 	if enqueued > 0 {
 		kept := s.batch[:0]
 		for _, t := range s.batch {

@@ -52,7 +52,6 @@ func runMaterialized(matrix *pet.Matrix, tasks []*task.Task, cfg Config) (*Resul
 		t.Machine = -1
 		t.Start, t.Completion = 0, 0
 		t.Deferrals = 0
-		t.Mark = 0
 		s.events.Push(eventq.Event{Time: t.Arrival, Kind: eventq.KindArrival, TaskID: t.ID, Machine: -1})
 	}
 	for s.events.Len() > 0 {

@@ -214,7 +214,6 @@ func (s *simulator) runStream() (*Result, error) {
 		t.Machine = -1
 		t.Start, t.Completion = 0, 0
 		t.Deferrals = 0
-		t.Mark = 0
 		s.emit(TraceArrived, t, -1, false)
 		var arrived *task.Task
 		if s.cfg.Mode == BatchMode {

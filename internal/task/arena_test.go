@@ -18,7 +18,6 @@ func TestArenaRecycleReusesAndResets(t *testing.T) {
 	t1.Machine = 4
 	t1.Start, t1.Completion = 5, 6
 	t1.Deferrals = 2
-	t1.Mark = 99
 	t1.Value = 7
 	a.Recycle(t1)
 	t2 := a.New(8, 2, 10, 20)

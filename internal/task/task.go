@@ -97,12 +97,6 @@ type Task struct {
 	Completion float64
 	// Deferrals counts how many mapping events deferred this task.
 	Deferrals int
-	// Mark is simulator scratch state: the batch mapper stamps it with the
-	// current mapping-event number to exclude tasks already handled within
-	// the event. Keeping it on the task (instead of a per-simulation array
-	// indexed by ID) lets the simulator run over an unbounded task stream
-	// without per-task bookkeeping proportional to the workload size.
-	Mark int
 	// Value is the task's worth (cost/priority) to the provider. The
 	// baseline system treats all tasks equally (Value 1); the value-aware
 	// pruning extension (paper Section VII future work) prunes high-value
