@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"prunesim"
@@ -63,36 +64,35 @@ func main() {
 
 // parseCell resolves "gzip:sunfire-3800" or "0:6" to matrix indices.
 func parseCell(m *prunesim.PETMatrix, s string) (tt, mt int, err error) {
-	parts := strings.SplitN(s, ":", 2)
-	if len(parts) != 2 {
+	task, machine, ok := strings.Cut(s, ":")
+	if !ok {
 		return 0, 0, fmt.Errorf("cell must be taskType:machineType, got %q", s)
 	}
-	tt = -1
-	for i := 0; i < m.NumTaskTypes(); i++ {
-		if m.TaskTypeName(i) == parts[0] {
-			tt = i
-		}
+	if tt, err = typeIndex("task", task, m.NumTaskTypes(), m.TaskTypeName); err != nil {
+		return 0, 0, err
 	}
-	if tt < 0 {
-		if _, err := fmt.Sscanf(parts[0], "%d", &tt); err != nil {
-			return 0, 0, fmt.Errorf("unknown task type %q", parts[0])
-		}
-	}
-	mt = -1
-	for j := 0; j < m.NumMachineTypes(); j++ {
-		if m.MachineTypeName(j) == parts[1] {
-			mt = j
-		}
-	}
-	if mt < 0 {
-		if _, err := fmt.Sscanf(parts[1], "%d", &mt); err != nil {
-			return 0, 0, fmt.Errorf("unknown machine type %q", parts[1])
-		}
-	}
-	if tt < 0 || tt >= m.NumTaskTypes() || mt < 0 || mt >= m.NumMachineTypes() {
-		return 0, 0, fmt.Errorf("cell (%d,%d) out of range", tt, mt)
+	if mt, err = typeIndex("machine", machine, m.NumMachineTypes(), m.MachineTypeName); err != nil {
+		return 0, 0, err
 	}
 	return tt, mt, nil
+}
+
+// typeIndex resolves a type name, or a whole decimal index in [0, n), to
+// its index.
+func typeIndex(kind, s string, n int, name func(int) string) (int, error) {
+	for i := 0; i < n; i++ {
+		if name(i) == s {
+			return i, nil
+		}
+	}
+	i, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("unknown %s type %q", kind, s)
+	}
+	if i < 0 || i >= n {
+		return 0, fmt.Errorf("%s type %d out of range [0, %d)", kind, i, n)
+	}
+	return i, nil
 }
 
 func fatal(err error) {

@@ -35,9 +35,6 @@ func (f *Fairness) Factor() float64 { return f.factor }
 // Score returns gamma_k for task type k.
 func (f *Fairness) Score(taskType int) float64 { return f.scores[taskType] }
 
-// Scores returns a copy of all sufferage scores.
-func (f *Fairness) Scores() []float64 { return append([]float64(nil), f.scores...) }
-
 // OnDropped raises type k's sufferage score by c.
 func (f *Fairness) OnDropped(taskType int) {
 	f.scores[taskType] += f.factor

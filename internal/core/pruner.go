@@ -142,9 +142,6 @@ func New(cfg Config) *Pruner {
 // Config returns the active configuration.
 func (p *Pruner) Config() Config { return p.cfg }
 
-// Accounting exposes the telemetry module (read-only use expected).
-func (p *Pruner) Accounting() *Accounting { return p.acct }
-
 // Fairness exposes the fairness module (read-only use expected).
 func (p *Pruner) Fairness() *Fairness { return p.fair }
 

@@ -36,11 +36,6 @@ type Options struct {
 	Parallelism int
 }
 
-// DefaultOptions returns the paper-scale settings.
-func DefaultOptions() Options {
-	return Options{Trials: 30, Scale: 1, Seed: 0x10bd, Parallelism: 0}
-}
-
 func (o Options) withDefaults() (Options, error) {
 	if o.Trials == 0 {
 		o.Trials = 30

@@ -16,7 +16,6 @@ package pmf
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"prunesim/internal/randx"
 )
@@ -366,12 +365,4 @@ func Mixture(ds []*PMF, ws []float64) *PMF {
 		tail += f * d.tail
 	}
 	return New(lo, w, masses, tail)
-}
-
-// SortedTimes returns all distinct representative support times of d sorted
-// ascending (helper for deterministic iteration in tests and exports).
-func (d *PMF) SortedTimes() []float64 {
-	ts, _ := d.Support()
-	sort.Float64s(ts)
-	return ts
 }

@@ -45,29 +45,18 @@ func (s *simulator) handleCompletion(j int) {
 	if s.now > s.res.Makespan {
 		s.res.Makespan = s.now
 	}
-	s.retire(t)
-}
-
-// retire processes a task the moment its outcome is final: it feeds the
-// optional fixed-size aggregates, tallies the outcome and hands the struct
-// back to the source for reuse. The task must no longer be referenced by
-// any queue.
-func (s *simulator) retire(t *task.Task) {
-	if s.cfg.Aggregates != nil {
-		s.cfg.Aggregates.observe(t, s.now)
-	}
 	s.recordOutcome(t)
 }
 
 // swept is the pruner's Sweep callback: it reports a task dropped from
-// machine queue j and retires it.
+// machine queue j and records its outcome.
 func (s *simulator) swept(t *task.Task, j int) {
 	kind := TraceDroppedReactive
 	if t.Status == task.StatusDroppedProactive {
 		kind = TraceDroppedProactive
 	}
 	s.emit(kind, t, j, false)
-	s.retire(t)
+	s.recordOutcome(t)
 }
 
 // mappingEvent implements Figure 5. arrived is non-nil only in immediate
@@ -136,7 +125,7 @@ func (s *simulator) sweepArrivals() {
 			t.Status = task.StatusDroppedReactive
 			s.pruner.RecordReactiveDrop(t.Type)
 			s.emit(TraceDroppedReactive, t, -1, false)
-			s.retire(t)
+			s.recordOutcome(t)
 			continue
 		}
 		kept = append(kept, t)

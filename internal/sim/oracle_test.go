@@ -26,7 +26,7 @@ func runMaterialized(matrix *pet.Matrix, tasks []*task.Task, cfg Config) (*Resul
 	if s.cfg.ExcludeBoundary < 0 || 2*s.cfg.ExcludeBoundary >= len(tasks) {
 		return nil, fmt.Errorf("sim: ExcludeBoundary %d out of range for %d tasks", s.cfg.ExcludeBoundary, len(tasks))
 	}
-	// retire records every outcome into the stream tally, but with no
+	// recordOutcome records every outcome into the stream tally, but with no
 	// arrival ever counted there (arrived stays 0) drainOutcomes never
 	// folds one: the Result comes from finalizeMaterialized alone.
 	s.stream = streamState{pending: make(map[int]outcome)}
@@ -96,9 +96,6 @@ func (s *simulator) finalizeMaterialized(tasks []*task.Task) {
 		if t.Status == task.StatusBatchQueued || t.Status == task.StatusMachineQueued {
 			if t.Missed(s.now) {
 				t.Status = task.StatusDroppedReactive
-			}
-			if s.cfg.Aggregates != nil {
-				s.cfg.Aggregates.observe(t, s.now)
 			}
 		}
 	}

@@ -103,11 +103,6 @@ type Config struct {
 	// only when the source dries up, so this is how RunStream callers keep
 	// tiny workloads runnable without pre-counting.
 	AutoExcludeBoundary bool
-	// Aggregates, when non-nil, receives every task the moment its outcome
-	// is known (and unfinished leftovers at the end of the trial) —
-	// fixed-size streaming per-task statistics independent of the counted
-	// window. See TaskAggregates.
-	Aggregates *TaskAggregates
 }
 
 // TaskSource yields the tasks of one trial in arrival order. RunStream

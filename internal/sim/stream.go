@@ -77,7 +77,8 @@ func (s *simulator) pullArrival() error {
 }
 
 // recordOutcome captures a task's final outcome, recycles the struct if the
-// source reuses tasks, and folds whatever the window now allows.
+// source reuses tasks, and folds whatever the window now allows. The task
+// must no longer be referenced by any queue.
 func (s *simulator) recordOutcome(t *task.Task) {
 	st := &s.stream
 	st.pending[t.ID] = outcome{status: t.Status, typ: t.Type, value: t.Value}
@@ -245,9 +246,6 @@ func (s *simulator) finalizeStream() error {
 		if t.Missed(s.now) {
 			t.Status = task.StatusDroppedReactive
 		}
-		if s.cfg.Aggregates != nil {
-			s.cfg.Aggregates.observe(t, s.now)
-		}
 		s.recordOutcome(t)
 	}
 	s.batch = s.batch[:0]
@@ -255,18 +253,12 @@ func (s *simulator) finalizeStream() error {
 		if t := m.Running(); t != nil {
 			// Unreachable on a conforming event stream (a running task
 			// always has a live completion event), kept for conservation.
-			if s.cfg.Aggregates != nil {
-				s.cfg.Aggregates.observe(t, s.now)
-			}
 			s.recordOutcome(t)
 		}
 		for _, e := range m.Pending() {
 			t := e.Task
 			if t.Missed(s.now) {
 				t.Status = task.StatusDroppedReactive
-			}
-			if s.cfg.Aggregates != nil {
-				s.cfg.Aggregates.observe(t, s.now)
 			}
 			s.recordOutcome(t)
 		}

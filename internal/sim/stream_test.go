@@ -204,56 +204,6 @@ func TestStreamMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestStreamAggregatesMatchAcrossPaths: the optional fixed-size aggregates
-// observe every task with identical order-independent totals on both paths,
-// and identical response statistics (retirement order is identical mid-run).
-func TestStreamAggregatesMatchAcrossPaths(t *testing.T) {
-	wcfg := streamWorkloadCfg(1500, 3)
-
-	tasks, err := workload.Generate(hcMatrix, wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matCfg := batchCfg(sched.NewMM(), core.DefaultConfig(12))
-	matAgg := NewTaskAggregates(len(tasks), 10)
-	matCfg.Aggregates = matAgg
-	matRes, err := runMaterialized(hcMatrix, tasks, matCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	src, err := workload.NewSource(hcMatrix, wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strCfg := batchCfg(sched.NewMM(), core.DefaultConfig(12))
-	strAgg := NewTaskAggregates(len(tasks), 10)
-	strCfg.Aggregates = strAgg
-	strRes, err := RunStream(hcMatrix, src, strCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, matRes, strRes)
-
-	ms, ss := matAgg.Timeline.Snapshot(), strAgg.Timeline.Snapshot()
-	if ms.Totals != ss.Totals {
-		t.Fatalf("aggregate totals diverge: %+v vs %+v", ms.Totals, ss.Totals)
-	}
-	if ms.Totals.Counted != matRes.TotalTasks {
-		t.Fatalf("aggregates saw %d tasks, want every one of %d", ms.Totals.Counted, matRes.TotalTasks)
-	}
-	if matAgg.Response.N() != strAgg.Response.N() || matAgg.Response.Mean() != strAgg.Response.Mean() {
-		t.Fatalf("response stats diverge: n %d/%d mean %v/%v",
-			matAgg.Response.N(), strAgg.Response.N(), matAgg.Response.Mean(), strAgg.Response.Mean())
-	}
-	if matAgg.QueueWait.N() != strAgg.QueueWait.N() || matAgg.QueueWait.Mean() != strAgg.QueueWait.Mean() {
-		t.Fatalf("queue-wait stats diverge")
-	}
-	if matAgg.RespP50.Value() <= 0 {
-		t.Fatal("response P50 estimator never observed anything")
-	}
-}
-
 // TestStreamAutoExcludeBoundary: small workloads clamp the boundary to
 // total/4 on both paths; without the flag both paths reject identically.
 func TestStreamAutoExcludeBoundary(t *testing.T) {

@@ -102,27 +102,3 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
-
-// Histogram counts xs into equal-width bins across [lo, hi); values outside
-// the range clamp to the edge bins. It panics if bins <= 0 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, bins int) []int {
-	if bins <= 0 {
-		panic("stats: bins must be positive")
-	}
-	if hi <= lo {
-		panic("stats: hi must exceed lo")
-	}
-	counts := make([]int, bins)
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		counts[i]++
-	}
-	return counts
-}

@@ -108,30 +108,6 @@ func TestPercentileErrors(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0.5, 1.5, 1.6, 2.5, -3, 99}, 0, 3, 3)
-	// -3 clamps to bin 0, 99 clamps to bin 2.
-	if h[0] != 2 || h[1] != 2 || h[2] != 2 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for i, f := range []func(){
-		func() { Histogram(nil, 0, 1, 0) },
-		func() { Histogram(nil, 1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestPropMeanWithinMinMax(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {

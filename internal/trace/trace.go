@@ -184,60 +184,3 @@ func WritePETPMF(out io.Writer, m *pet.Matrix, taskType, machineType int) error 
 	}
 	return nil
 }
-
-// ReadTasks parses a workload CSV previously written by WriteTasks back
-// into tasks — the import path for externally produced or archived trials.
-// Rows must be sorted by ID; values and statuses reset to defaults.
-func ReadTasks(in io.Reader) ([]*task.Task, error) {
-	r := csv.NewReader(in)
-	header, err := r.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	want := []string{"id", "type", "arrival", "deadline"}
-	if len(header) != len(want) {
-		return nil, fmt.Errorf("trace: header %v, want %v", header, want)
-	}
-	for i := range want {
-		if header[i] != want[i] {
-			return nil, fmt.Errorf("trace: header %v, want %v", header, want)
-		}
-	}
-	var tasks []*task.Task
-	for line := 2; ; line++ {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		id, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad id %q", line, rec[0])
-		}
-		typ, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad type %q", line, rec[1])
-		}
-		arr, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad arrival %q", line, rec[2])
-		}
-		dl, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad deadline %q", line, rec[3])
-		}
-		if id != len(tasks) {
-			return nil, fmt.Errorf("trace: line %d: id %d out of order (want %d)", line, id, len(tasks))
-		}
-		if dl < arr {
-			return nil, fmt.Errorf("trace: line %d: deadline %v before arrival %v", line, dl, arr)
-		}
-		tasks = append(tasks, task.New(id, typ, arr, dl))
-	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("trace: no tasks in input")
-	}
-	return tasks, nil
-}

@@ -308,63 +308,3 @@ func TestWritePETPMF(t *testing.T) {
 		t.Fatal("negative machine accepted")
 	}
 }
-
-func TestReadTasksRoundTrip(t *testing.T) {
-	matrix := pet.Standard(pet.DefaultParams())
-	cfg := workload.DefaultConfig(600)
-	cfg.TimeSpan = 300
-	cfg.NumSpikes = 2
-	orig := mustGenerate(t, matrix, cfg)
-	var sb strings.Builder
-	if err := WriteTasks(&sb, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTasks(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(orig) {
-		t.Fatalf("round trip length %d, want %d", len(got), len(orig))
-	}
-	for i := range got {
-		if got[i].Type != orig[i].Type {
-			t.Fatalf("task %d type %d, want %d", i, got[i].Type, orig[i].Type)
-		}
-		// CSV stores 4 decimal places.
-		if diff := got[i].Arrival - orig[i].Arrival; diff > 1e-4 || diff < -1e-4 {
-			t.Fatalf("task %d arrival %v, want %v", i, got[i].Arrival, orig[i].Arrival)
-		}
-	}
-	// Re-imported workload must run.
-	res, err := sim.Run(matrix, got, sim.Config{
-		Mode: sim.BatchMode, Heuristic: sched.NewMM(),
-		MachineTypes: []int{0, 1, 2, 3, 4, 5, 6, 7},
-		Prune:        core.DefaultConfig(12), Seed: 3, ExcludeBoundary: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OnTime == 0 {
-		t.Fatal("imported workload produced degenerate run")
-	}
-}
-
-func TestReadTasksErrors(t *testing.T) {
-	cases := []string{
-		"",                                    // no header
-		"a,b\n",                               // wrong header
-		"id,type,arrival,deadline\n",          // no tasks
-		"id,type,arrival,deadline\nx,0,1,2\n", // bad id
-		"id,type,arrival,deadline\n0,x,1,2\n", // bad type
-		"id,type,arrival,deadline\n0,0,x,2\n", // bad arrival
-		"id,type,arrival,deadline\n0,0,1,x\n", // bad deadline
-		"id,type,arrival,deadline\n5,0,1,2\n", // id out of order
-		"id,type,arrival,deadline\n0,0,5,2\n", // deadline before arrival
-		"id,type,arrival,deadline\n0,0,1\n",   // short row
-	}
-	for i, in := range cases {
-		if _, err := ReadTasks(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d accepted: %q", i, in)
-		}
-	}
-}

@@ -105,19 +105,6 @@ func GenerateWith(m *pet.Matrix, model ArrivalModel, cfg Config) []*task.Task {
 	return all
 }
 
-// Rate returns the aggregate instantaneous arrival rate (tasks per time
-// unit, all types combined) the configuration targets at time t. It
-// compiles the arrival model on every call; per-timestep sweeps (Fig. 6,
-// the arrivals sensitivity driver) should compile once with
-// NewArrivalModel and query the model's own Rate instead.
-func Rate(cfg Config, m *pet.Matrix, t float64) (float64, error) {
-	model, err := NewArrivalModel(cfg, m.NumTaskTypes())
-	if err != nil {
-		return 0, err
-	}
-	return model.Rate(t), nil
-}
-
 // profile captures the piecewise-constant rate factor r(t) >= 1 relative to
 // the base rate, and the warping between real time and the "rate-weighted"
 // clock W(t) = integral of r.

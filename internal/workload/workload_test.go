@@ -190,11 +190,11 @@ func TestRateProfile(t *testing.T) {
 
 func mustRate(t *testing.T, cfg Config, at float64) float64 {
 	t.Helper()
-	r, err := Rate(cfg, testMatrix, at)
+	model, err := NewArrivalModel(cfg, testMatrix.NumTaskTypes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return model.Rate(at)
 }
 
 func TestConstantRate(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"prunesim/internal/sched"
 	"prunesim/internal/sim"
+	"prunesim/internal/workload"
 )
 
 // PlatformConfig describes a serverless platform to simulate: its machines,
@@ -29,7 +30,8 @@ type PlatformConfig struct {
 	// Seed drives execution-time sampling.
 	Seed uint64
 	// ExcludeBoundary excludes the first/last N tasks from statistics
-	// (paper: 100). Values larger than the workload allow are clamped.
+	// (paper: 100). A workload of n <= 2*ExcludeBoundary+1 tasks excludes
+	// n/4 at each end instead.
 	ExcludeBoundary int
 	// PCTTailEps, in [0, 1), enables ε-conservative completion-time tail
 	// compression: each chain convolution folds at most this much tail
@@ -92,7 +94,8 @@ func (p *Platform) Config() PlatformConfig { return p.cfg }
 
 // simConfig builds the simulator configuration of one run, with a fresh
 // heuristic instance (some heuristics carry cursors, so runs never share
-// one).
+// one). Every run path shares the boundary rule documented on
+// PlatformConfig.ExcludeBoundary.
 func (p *Platform) simConfig() (sim.Config, error) {
 	h, _, err := sched.ByName(p.cfg.Heuristic)
 	if err != nil {
@@ -108,6 +111,8 @@ func (p *Platform) simConfig() (sim.Config, error) {
 		ExcludeBoundary: p.cfg.ExcludeBoundary,
 		TailEps:         p.cfg.PCTTailEps,
 		Observer:        p.cfg.Observer,
+
+		AutoExcludeBoundary: true,
 	}, nil
 }
 
@@ -120,21 +125,11 @@ func (p *Platform) Run(tasks []*Task) (*Result, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("prunesim: empty workload")
 	}
-	cfg, err := p.sliceConfig(len(tasks))
+	cfg, err := p.simConfig()
 	if err != nil {
 		return nil, err
 	}
 	return sim.Run(p.cfg.Matrix, tasks, cfg)
-}
-
-// sliceConfig is simConfig for a materialized workload of n tasks, with
-// ExcludeBoundary clamped so some tasks are always counted.
-func (p *Platform) sliceConfig(n int) (sim.Config, error) {
-	cfg, err := p.simConfig()
-	if err == nil && 2*cfg.ExcludeBoundary >= n {
-		cfg.ExcludeBoundary = (n - 1) / 2
-	}
-	return cfg, err
 }
 
 // RunTrial generates workload trial number `trial` from cfg and runs it.
@@ -147,29 +142,19 @@ func (p *Platform) RunTrial(wcfg WorkloadConfig, trial int) (*Result, error) {
 	return p.Run(tasks)
 }
 
-// RunStream simulates the platform over a streaming workload source with
-// memory bounded by the in-flight task window plus fixed per-machine state —
-// never by the total task count. Tasks are recycled into the source's arena
-// the moment their outcome is tallied. On workloads large enough that
-// ExcludeBoundary needs no clamping, the Result is bitwise-identical to Run
-// over the materialized equivalent (tiny workloads clamp the boundary
-// slightly differently: n/4 here versus Run's (n-1)/2).
-func (p *Platform) RunStream(src *WorkloadSource) (*Result, error) {
+// RunTrialStream generates workload trial number `trial` as a stream and
+// runs it with memory bounded by the in-flight task window plus fixed
+// per-machine state, never by the total task count: the path for
+// million-task trials. Its Result is bitwise-identical to RunTrial's.
+func (p *Platform) RunTrialStream(wcfg WorkloadConfig, trial int) (*Result, error) {
+	wcfg.Trial = trial
+	src, err := workload.NewSource(p.cfg.Matrix, wcfg)
+	if err != nil {
+		return nil, err
+	}
 	cfg, err := p.simConfig()
 	if err != nil {
 		return nil, err
 	}
-	cfg.AutoExcludeBoundary = true
 	return sim.RunStream(p.cfg.Matrix, src, cfg)
-}
-
-// RunTrialStream generates workload trial number `trial` as a stream and
-// runs it memory-bounded — the path for million-task trials.
-func (p *Platform) RunTrialStream(wcfg WorkloadConfig, trial int) (*Result, error) {
-	wcfg.Trial = trial
-	src, err := NewWorkloadSource(p.cfg.Matrix, wcfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunStream(src)
 }

@@ -50,7 +50,6 @@ import (
 	"prunesim/internal/sim"
 	"prunesim/internal/stats"
 	"prunesim/internal/task"
-	"prunesim/internal/timeline"
 	"prunesim/internal/workload"
 )
 
@@ -65,15 +64,6 @@ type (
 // the given bin width; masses are normalized.
 func NewPMF(origin int, width float64, masses []float64, tail float64) *PMF {
 	return pmf.New(origin, width, masses, tail)
-}
-
-// DeltaPMF returns a point mass at time t with the given bin width.
-func DeltaPMF(t, width float64) *PMF { return pmf.Delta(t, width) }
-
-// PMFFromSamples histograms execution-time samples into a PMF (the paper's
-// PET construction recipe).
-func PMFFromSamples(samples []float64, width float64) *PMF {
-	return pmf.FromSamples(samples, width)
 }
 
 // PET matrices (see internal/pet).
@@ -106,52 +96,8 @@ func NewPETMatrix(means [][]float64, taskNames, machineNames []string, p PETPara
 type (
 	// Task is one service request with a hard individual deadline.
 	Task = task.Task
-	// TaskStatus tracks a task through the allocation pipeline.
-	TaskStatus = task.Status
 	// WorkloadConfig parameterizes a workload trial.
 	WorkloadConfig = workload.Config
-	// ArrivalModel is a compiled arrival process: a declared rate curve
-	// plus per-type arrival streams (see internal/workload).
-	ArrivalModel = workload.ArrivalModel
-)
-
-// Arrival model names (WorkloadConfig.Model).
-const (
-	// SpikyArrival alternates lulls with 3x-rate spikes (paper default).
-	SpikyArrival = workload.ModelSpiky
-	// ConstantArrival keeps the rate fixed across the span.
-	ConstantArrival = workload.ModelConstant
-	// PoissonArrival is a homogeneous Poisson process.
-	PoissonArrival = workload.ModelPoisson
-	// DiurnalArrival is an inhomogeneous Poisson process over a
-	// declarative (sinusoidal or piecewise) rate curve, sampled by
-	// thinning.
-	DiurnalArrival = workload.ModelDiurnal
-	// MMPPArrival is a Markov-modulated Poisson process (bursty).
-	MMPPArrival = workload.ModelMMPP
-	// TraceArrival replays explicit arrival timestamps.
-	TraceArrival = workload.ModelTrace
-)
-
-// ArrivalModelNames lists the arrival models workloads can select.
-func ArrivalModelNames() []string { return workload.ModelNames() }
-
-// NewArrivalModel validates cfg and compiles its arrival model for the
-// matrix's task types; reuse the model across trials and rate queries.
-func NewArrivalModel(cfg WorkloadConfig, m *PETMatrix) (ArrivalModel, error) {
-	return workload.NewArrivalModel(cfg, m.NumTaskTypes())
-}
-
-// Task terminal statuses (subset of the full pipeline states).
-const (
-	// StatusCompletedOnTime marks a task that met its deadline.
-	StatusCompletedOnTime = task.StatusCompletedOnTime
-	// StatusCompletedLate marks a completion after the deadline.
-	StatusCompletedLate = task.StatusCompletedLate
-	// StatusDroppedReactive marks a drop after the deadline passed.
-	StatusDroppedReactive = task.StatusDroppedReactive
-	// StatusDroppedProactive marks a probabilistic (pruned) drop.
-	StatusDroppedProactive = task.StatusDroppedProactive
 )
 
 // NewTask creates a task of the given type with an arrival time and hard
@@ -171,27 +117,6 @@ func DefaultWorkload(numTasks int) WorkloadConfig { return workload.DefaultConfi
 // reported as errors, never panics.
 func GenerateWorkload(m *PETMatrix, cfg WorkloadConfig) ([]*Task, error) {
 	return workload.Generate(m, cfg)
-}
-
-// ArrivalRate returns the configured aggregate arrival rate at time t
-// (reproduces Figure 6). Per-timestep sweeps should compile once with
-// NewArrivalModel and query the model's Rate instead.
-func ArrivalRate(cfg WorkloadConfig, m *PETMatrix, t float64) (float64, error) {
-	return workload.Rate(cfg, m, t)
-}
-
-// WorkloadSource streams one workload trial task-by-task in arrival order
-// from an internal arena, yielding exactly the tasks GenerateWorkload would
-// materialize without ever holding them all. Feed it to
-// Platform.RunTrialStream (or sim.RunStream) for memory-bounded
-// million-task trials.
-type WorkloadSource = workload.Source
-
-// NewWorkloadSource validates cfg and returns a streaming generator for one
-// workload trial. A source is single-use and not safe for concurrent use;
-// build a fresh one per trial.
-func NewWorkloadSource(m *PETMatrix, cfg WorkloadConfig) (*WorkloadSource, error) {
-	return workload.NewSource(m, cfg)
 }
 
 // Pruning (see internal/core — the paper's contribution).
@@ -227,8 +152,6 @@ type (
 	AllocationMode = sim.Mode
 	// TraceEvent is a task lifecycle event for observers.
 	TraceEvent = sim.TraceEvent
-	// TraceKind classifies trace events.
-	TraceKind = sim.TraceKind
 )
 
 // Allocation modes.
@@ -249,23 +172,6 @@ type (
 // Summary on an empty sample).
 func Summarize(xs []float64) Summary { return stats.Summarize(xs) }
 
-// Live observability (see internal/timeline): the fixed-memory streaming
-// aggregator behind prunesimd's /v1/jobs/{id}/timeline endpoint and
-// hcsim's live progress — embedders drive it from a Study's OnTrial
-// callback.
-type (
-	// Timeline folds per-trial outcomes into a bounded binned time-series
-	// plus online robustness/duration statistics.
-	Timeline = timeline.Timeline
-	// TimelineObservation is one finished trial as the timeline sees it.
-	TimelineObservation = timeline.Observation
-	// TimelineSnapshot is the JSON view of the aggregate.
-	TimelineSnapshot = timeline.Snapshot
-)
-
-// NewTimeline returns a streaming timeline expecting totalTrials trials.
-func NewTimeline(totalTrials int) *Timeline { return timeline.New(totalTrials) }
-
 // Experiments (see internal/experiments).
 type (
 	// FigureResult is one regenerated paper figure.
@@ -283,10 +189,6 @@ func FigureNames() []string { return experiments.Names() }
 func RunFigure(name string, opt FigureOptions) (*FigureResult, error) {
 	return experiments.Run(name, opt)
 }
-
-// DefaultFigureOptions returns paper-scale regeneration settings (30
-// trials, full-size workloads).
-func DefaultFigureOptions() FigureOptions { return experiments.DefaultOptions() }
 
 // Energy and cost (see internal/energy; the paper's Section VII analysis).
 type (
@@ -317,16 +219,6 @@ func HeuristicNames() []string {
 	}
 }
 
-// ValueAwarePruning returns the paper's default pruning configuration with
-// the Section-VII cost/priority extension enabled: tasks with value above
-// valueRef are pruned more conservatively, below it more aggressively.
-func ValueAwarePruning(numTaskTypes int, valueRef float64) PruningConfig {
-	cfg := DefaultPruning(numTaskTypes)
-	cfg.ValueAware = true
-	cfg.ValueRef = valueRef
-	return cfg
-}
-
 // Scenarios (see internal/scenario): the declarative front end. A Scenario
 // is a JSON-encodable description of one simulation study — workload shape,
 // platform, pruning configuration and trial settings — and the unit the
@@ -334,9 +226,6 @@ func ValueAwarePruning(numTaskTypes int, valueRef float64) PruningConfig {
 type (
 	// Scenario declares one simulation study end to end.
 	Scenario = scenario.Scenario
-	// ScenarioCell is one configuration point of a sweep, tagged with its
-	// (series, x) position in a figure.
-	ScenarioCell = scenario.Cell
 	// ScenarioOutcome is the result of running one scenario.
 	ScenarioOutcome = scenario.Outcome
 	// ScenarioEngine resolves and runs scenarios on a bounded worker pool,
@@ -348,17 +237,9 @@ type (
 // with an OnTrial callback (and Engine.RunWithProgress).
 type ScenarioTrialProgress = scenario.TrialProgress
 
-// DefaultScenario returns a ready-to-run scenario at the paper's defaults:
-// a spiky 15K-task workload on the standard 8-machine platform under
-// Min-Min with full pruning.
-func DefaultScenario() Scenario { return scenario.Default() }
-
 // LoadScenario reads, parses and normalizes one scenario JSON file. Unknown
 // fields are errors, so typos in hand-written files surface immediately.
 func LoadScenario(path string) (Scenario, error) { return scenario.Load(path) }
-
-// ParseScenario decodes and normalizes a JSON scenario document.
-func ParseScenario(data []byte) (Scenario, error) { return scenario.Parse(data) }
 
 // NewScenarioEngine returns a scenario engine with the given trial
 // parallelism bound (0 = GOMAXPROCS).
@@ -369,8 +250,6 @@ type (
 	// CalibrationReport is a reliability table relating predicted chance of
 	// success to realized on-time frequency.
 	CalibrationReport = calibration.Report
-	// CalibrationBin is one chance bin of the table.
-	CalibrationBin = calibration.Bin
 )
 
 // AssessCalibration runs one simulation of the platform over the given
@@ -380,7 +259,7 @@ type (
 // uses the platform's full configuration (including PCTTailEps), except
 // that its Observer is not called: the assessment installs its own.
 func (p *Platform) AssessCalibration(tasks []*Task, bins int) (*CalibrationReport, error) {
-	cfg, err := p.sliceConfig(len(tasks))
+	cfg, err := p.simConfig()
 	if err != nil {
 		return nil, err
 	}

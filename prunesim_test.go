@@ -163,14 +163,6 @@ func TestPMFFacade(t *testing.T) {
 	if got := pct.ProbLE(7); math.Abs(got-0.91625) > 1e-9 {
 		t.Fatalf("chance of success by t=7: %v", got)
 	}
-	d := prunesim.DeltaPMF(3, 1)
-	if d.Mean() != 3 {
-		t.Fatal("DeltaPMF mean wrong")
-	}
-	h := prunesim.PMFFromSamples([]float64{1, 1, 2}, 1)
-	if math.Abs(h.ProbLE(1.5)-2.0/3) > 1e-9 {
-		t.Fatal("PMFFromSamples wrong")
-	}
 }
 
 func TestEnergyFacade(t *testing.T) {
@@ -350,12 +342,26 @@ func TestAssessCalibrationHonorsTailEps(t *testing.T) {
 	}
 }
 
-func TestValueAwarePruningHelper(t *testing.T) {
-	cfg := prunesim.ValueAwarePruning(12, 3)
-	if !cfg.ValueAware || cfg.ValueRef != 3 || cfg.Threshold != 0.5 {
-		t.Fatalf("helper config wrong: %+v", cfg)
-	}
-	if err := cfg.Validate(); err != nil {
+// TestTrialStreamMatchesTrial: every Platform run path shares one
+// ExcludeBoundary rule, so the materialized and streaming runs of a trial
+// agree even on workloads too small for the configured boundary.
+func TestTrialStreamMatchesTrial(t *testing.T) {
+	p, err := prunesim.NewPlatform(prunesim.PlatformConfig{Seed: 6, ExcludeBoundary: 100})
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, n := range []int{40, 200, 201, 203} {
+		wcfg := prunesim.DefaultWorkload(n)
+		want, err := p.RunTrial(wcfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.RunTrialStream(wcfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("n=%d: RunTrialStream differs from RunTrial:\n got %+v\nwant %+v", n, got, want)
+		}
 	}
 }

@@ -19,7 +19,6 @@ type Study struct {
 	scenario Scenario
 	onTrial  func(ScenarioTrialProgress)
 	speedup  float64
-	engine   *ScenarioEngine
 }
 
 // NewStudy starts a study of the given scenario.
@@ -43,14 +42,6 @@ func (st *Study) Paced(speedup float64) *Study {
 	return st
 }
 
-// WithEngine runs the study on an existing engine (shared PET-matrix cache,
-// bounded parallelism) instead of a fresh one. Ignored by paced runs, which
-// need their own single-trial engine.
-func (st *Study) WithEngine(e *ScenarioEngine) *Study {
-	st.engine = e
-	return st
-}
-
 // Run normalizes and executes the scenario, running its trials concurrently
 // (or sequentially against the wall clock if Paced).
 func (st *Study) Run() (*ScenarioOutcome, error) {
@@ -64,10 +55,7 @@ func (st *Study) Run() (*ScenarioOutcome, error) {
 		s.Run.Parallelism = 1
 		return eng.RunWithProgress(s, st.onTrial)
 	}
-	eng := st.engine
-	if eng == nil {
-		eng = scenario.NewEngine(0)
-	}
+	eng := scenario.NewEngine(0)
 	if st.onTrial != nil {
 		return eng.RunWithProgress(st.scenario, st.onTrial)
 	}
