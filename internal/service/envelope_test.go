@@ -116,3 +116,37 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		t.Fatalf("identifiers missing from envelope: %s", raw)
 	}
 }
+
+// TestTrailingDataRejected: a v1 body must be exactly one JSON value. A
+// decoder that stops after the first value would accept the junk behind
+// it, and a front door that rejects such a body would route it to a shard
+// that does not own its hash.
+func TestTrailingDataRejected(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{Workers: -1})
+	live := createSession(t, ts, "")
+	cases := []struct{ name, path, body string }{
+		{"jobs", "/v1/jobs", `{"name":"service_smoke"} trailing junk`},
+		{"sessions", "/v1/sessions", `{} {"bogus":1}`},
+		{"decide", "/v1/sessions/" + live + "/decide", `{"type": 0, "deadline": 5, "now": 0} {}`},
+		{"decide/batch", "/v1/sessions/" + live + "/decide/batch", `{"tasks": [{"type": 0, "deadline": 5}], "now": 0}]`},
+		{"complete", "/v1/sessions/" + live + "/complete", `{"task_id": 0} 1`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, raw := doJSON(t, ts, "POST", c.path, c.body, nil)
+			var env struct {
+				Error struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			json.Unmarshal([]byte(raw), &env)
+			if code != http.StatusBadRequest || env.Error.Code != service.CodeInvalidRequest {
+				t.Fatalf("status %d code %q, want 400 %q: %s", code, env.Error.Code, service.CodeInvalidRequest, raw)
+			}
+		})
+	}
+	// Trailing whitespace is not data.
+	if code, raw := doJSON(t, ts, "POST", "/v1/sessions/"+live+"/decide", "{\"type\": 0, \"deadline\": 5, \"now\": 0}\n\t ", nil); code != http.StatusOK {
+		t.Fatalf("decide with trailing whitespace: status %d: %s", code, raw)
+	}
+}

@@ -56,16 +56,10 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 }
 
-// subBuffer is the per-subscriber event channel capacity. A subscriber
-// that falls further behind than this has events dropped (never blocking
-// the worker); the authoritative record stays in the job's history and in
-// GET /v1/jobs/{id}.
-const subBuffer = 1024
-
 // Job tracks one submitted scenario through the queue, the worker pool and
-// into the result store. All mutable state sits behind mu; Events and
-// subscriber fan-out share it so history replay never misses or duplicates
-// an event.
+// into the result store. All mutable state sits behind mu. The event
+// history is append-only: SSE readers hold a cursor into it and are woken
+// by publish, so a reader never misses, duplicates or drops an event.
 type Job struct {
 	// Immutable after creation.
 	id       string
@@ -86,7 +80,9 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	history  []Event
-	subs     map[chan Event]struct{}
+	// wakes are the one-slot channels of live SSE readers, signalled
+	// (never blocked on) by every publish.
+	wakes map[chan struct{}]struct{}
 	// tl is the job's streaming aggregate, attached when a worker starts
 	// the run and retained after completion (the timeline endpoint serves
 	// finished jobs too). Nil for cache-served jobs, whose timeline is
@@ -102,56 +98,57 @@ func newJob(id, hash string, s scenario.Scenario) *Job {
 		scenario: s,
 		created:  time.Now(),
 		state:    StateQueued,
-		subs:     make(map[chan Event]struct{}),
 	}
 	j.publish(Event{Type: "queued"})
 	return j
 }
 
-// publish appends an event to the history and fans it out to live
-// subscribers. Slow subscribers (full buffer) miss the event rather than
-// blocking the caller.
+// publish appends an event to the history and wakes every live reader
+// without blocking on any of them.
 func (j *Job) publish(ev Event) {
 	ev.JobID = j.id
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.history = append(j.history, ev)
-	for ch := range j.subs {
+	for wake := range j.wakes {
 		select {
-		case ch <- ev:
-		default:
+		case wake <- struct{}{}:
+		default: // a wake-up is already pending
 		}
-	}
-	if ev.Type == "done" || ev.Type == "failed" {
-		for ch := range j.subs {
-			close(ch)
-		}
-		j.subs = nil
 	}
 }
 
-// subscribe atomically snapshots the event history and registers a live
-// channel, so the caller sees every event exactly once (modulo slow-reader
-// drops). The channel is nil when the job is already terminal — the
-// history is complete. cancel is idempotent and must be called when the
-// (non-nil) channel is abandoned before the job finishes.
-func (j *Job) subscribe() (history []Event, ch chan Event, cancel func()) {
+// terminal reports whether ev ends a job's stream.
+func terminal(ev Event) bool { return ev.Type == "done" || ev.Type == "failed" }
+
+// subscribe registers a reader's wake channel, signalled after every
+// publish; read the events themselves with eventsFrom. The channel is nil
+// when the history already ends the stream. cancel is idempotent.
+func (j *Job) subscribe() (wake <-chan struct{}, cancel func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	history = append([]Event(nil), j.history...)
-	if j.subs == nil { // terminal: history already ends in done/failed
-		return history, nil, func() {}
+	if n := len(j.history); n > 0 && terminal(j.history[n-1]) {
+		return nil, func() {}
 	}
-	ch = make(chan Event, subBuffer)
-	j.subs[ch] = struct{}{}
-	return history, ch, func() {
+	ch := make(chan struct{}, 1)
+	if j.wakes == nil {
+		j.wakes = make(map[chan struct{}]struct{})
+	}
+	j.wakes[ch] = struct{}{}
+	return ch, func() {
 		j.mu.Lock()
-		defer j.mu.Unlock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-			close(ch)
-		}
+		delete(j.wakes, ch)
+		j.mu.Unlock()
 	}
+}
+
+// eventsFrom returns the events published since cursor next. The slice is
+// capped at its length, so later appends never write into what it shows
+// and the caller may read it without holding mu.
+func (j *Job) eventsFrom(next int) []Event {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.history[next:len(j.history):len(j.history)]
 }
 
 // setRunning transitions queued → running, attaches the job's streaming

@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -345,12 +346,11 @@ type SubmitRequest struct {
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 
+// writeJSON answers v as compact JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // handleSubmit accepts a scenario, answers cache hits from the store, and
@@ -358,10 +358,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // accept loop never blocks.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		apiError(w, http.StatusBadRequest, CodeInvalidRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	var sc scenario.Scenario
@@ -527,7 +524,9 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams a job's progress as Server-Sent Events: the full
 // event history replays first, then live events until the job reaches a
-// terminal state or the client disconnects.
+// terminal state or the client disconnects. The stream reads the job's
+// history by cursor, so a slow reader falls behind but never loses an
+// event; each batch of pending events leaves in one flush.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.lookupJob(w, r)
 	if !ok {
@@ -543,55 +542,50 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	history, live, cancel := job.subscribe()
+	wake, cancel := job.subscribe()
 	defer cancel()
-	writeEvent := func(ev Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return ev.Type != "done" && ev.Type != "failed"
-	}
-	for _, ev := range history {
-		if !writeEvent(ev) {
-			return
-		}
-	}
-	if live == nil {
-		return
-	}
+	enc := json.NewEncoder(w)
 	// Heartbeat: an SSE comment on an otherwise idle stream (a job stuck
 	// behind the queue, a long trial with no completions) keeps proxies
 	// and load balancers from reaping the connection. Comment lines are
-	// invisible to EventSource consumers.
+	// invisible to EventSource consumers. The ticker starts on the first
+	// wait, so a stream that is complete up front never builds one.
 	var heartbeat <-chan time.Time
-	if s.heartbeat > 0 {
-		ticker := time.NewTicker(s.heartbeat)
-		defer ticker.Stop()
-		heartbeat = ticker.C
-	}
-	for {
+	for next := 0; ; {
+		events := job.eventsFrom(next)
+		next += len(events)
+		for _, ev := range events {
+			io.WriteString(w, "event: "+ev.Type+"\ndata: ")
+			if err := enc.Encode(ev); err != nil {
+				return
+			}
+			if _, err := io.WriteString(w, "\n"); err != nil {
+				return
+			}
+			if terminal(ev) {
+				flusher.Flush()
+				return
+			}
+		}
+		if len(events) > 0 {
+			flusher.Flush()
+		}
+		if heartbeat == nil && s.heartbeat > 0 {
+			ticker := time.NewTicker(s.heartbeat)
+			defer ticker.Stop()
+			heartbeat = ticker.C
+		}
 		select {
 		case <-r.Context().Done():
 			return
 		case <-s.done:
 			return
 		case <-heartbeat:
-			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
+			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
 				return
 			}
 			flusher.Flush()
-		case ev, open := <-live:
-			if !open {
-				return
-			}
-			if !writeEvent(ev) {
-				return
-			}
+		case <-wake:
 		}
 	}
 }

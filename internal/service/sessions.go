@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -77,15 +78,45 @@ func sessionEscape(w http.ResponseWriter, id string, err error) bool {
 	return true
 }
 
-// decodeBody strictly decodes a JSON request body into v.
+// decodeBody strictly decodes a JSON request body into v: unknown fields
+// and anything but whitespace after the one JSON value are rejected.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	body := http.MaxBytesReader(w, r.Body, 1<<20)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		err = onlySpace(dec.Buffered())
+	}
+	if err == nil {
+		err = onlySpace(body)
+	}
+	if err != nil {
 		apiError(w, http.StatusBadRequest, CodeInvalidRequest, "decoding request: %v", err)
 		return false
 	}
 	return true
+}
+
+// onlySpace reads r to its end and fails unless all it held was JSON
+// whitespace. Decoder.Token would answer the same question, but when a
+// newline follows the value it grows the decoder's buffer by 1.5 KB.
+func onlySpace(r io.Reader) error {
+	var buf [16]byte
+	for {
+		n, err := r.Read(buf[:])
+		for _, c := range buf[:n] {
+			if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+				return errors.New("trailing data after the JSON value")
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // sessionNow resolves a request's optional clock: explicit when given,

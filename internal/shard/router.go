@@ -9,6 +9,7 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,7 +58,23 @@ type backend struct {
 	forwarded atomic.Int64
 }
 
-// NewRouter validates the backend URLs and builds their proxies.
+// bufferPool lends the proxies their 32 KiB response-copy buffers, which
+// they would otherwise allocate afresh for every proxied response. The
+// pool holds *[]byte, the pointer form staticcheck's SA6002 asks for.
+type bufferPool struct{ pool sync.Pool }
+
+func newBufferPool() *bufferPool {
+	return &bufferPool{pool: sync.Pool{New: func() any {
+		buf := make([]byte, 32<<10)
+		return &buf
+	}}}
+}
+
+func (p *bufferPool) Get() []byte    { return *p.pool.Get().(*[]byte) }
+func (p *bufferPool) Put(buf []byte) { p.pool.Put(&buf) }
+
+// NewRouter validates the backend URLs and builds their proxies, which
+// share one pool of copy buffers.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one backend")
@@ -74,6 +91,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	for _, sc := range cfg.Library {
 		rt.library[sc.Name] = sc
 	}
+	buffers := newBufferPool()
 	for i, addr := range cfg.Backends {
 		// Accept bare host:port (what -shard-of workers log and operators
 		// naturally paste into -route-to); scheme defaults to http.
@@ -90,6 +108,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		proxy := httputil.NewSingleHostReverseProxy(base)
 		// SSE: flush every write through immediately instead of buffering.
 		proxy.FlushInterval = -1
+		proxy.BufferPool = buffers
 		proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
 			rt.badGateway.Add(1)
 			routerError(w, http.StatusBadGateway, "bad_gateway", "shard backend %s: %v", addr, err)
@@ -216,12 +235,28 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	rt.forward(i, w, r)
 }
 
-// fanout GETs path on every shard and hands each decoded body to merge,
-// reporting the first backend failure as 502.
-func (rt *Router) fanout(w http.ResponseWriter, path string, merge func(shard int, body []byte) error) bool {
+// credentialHeaders carry a caller's API key (see internal/tenant); list
+// fan-outs forward them so each shard answers as that tenant.
+var credentialHeaders = []string{"Authorization", "X-API-Key"}
+
+// fanout GETs path on every shard with the caller's credentials and
+// hands each body to merge. The first shard that refuses the caller (4xx)
+// answers for the whole fan-out; any other backend failure is a 502.
+func (rt *Router) fanout(w http.ResponseWriter, r *http.Request, path string, merge func(shard int, body []byte) error) bool {
 	rt.fanouts.Add(1)
 	for i, b := range rt.backends {
-		resp, err := rt.client.Get(b.addr + path)
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.addr+path, nil)
+		if err != nil {
+			rt.badGateway.Add(1)
+			routerError(w, http.StatusBadGateway, "bad_gateway", "shard backend %s: %v", b.addr, err)
+			return false
+		}
+		for _, h := range credentialHeaders {
+			for _, v := range r.Header.Values(h) {
+				req.Header.Add(h, v)
+			}
+		}
+		resp, err := rt.client.Do(req)
 		if err != nil {
 			rt.badGateway.Add(1)
 			routerError(w, http.StatusBadGateway, "bad_gateway", "shard backend %s: %v", b.addr, err)
@@ -229,6 +264,18 @@ func (rt *Router) fanout(w http.ResponseWriter, path string, merge func(shard in
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err == nil && resp.StatusCode >= 400 && resp.StatusCode < 500 {
+			// The shard refused the caller (unknown key, empty token
+			// bucket): that answer is the caller's, not a gateway fault.
+			for _, h := range []string{"Content-Type", "Retry-After"} {
+				if v := resp.Header.Get(h); v != "" {
+					w.Header().Set(h, v)
+				}
+			}
+			w.WriteHeader(resp.StatusCode)
+			w.Write(body)
+			return false
+		}
 		if err != nil || resp.StatusCode != http.StatusOK {
 			rt.badGateway.Add(1)
 			routerError(w, http.StatusBadGateway, "bad_gateway",
@@ -247,19 +294,19 @@ func (rt *Router) fanout(w http.ResponseWriter, path string, merge func(shard in
 // handleJobList merges every shard's GET /v1/jobs, preserving each
 // shard's own ordering, shards in fleet order.
 func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
-	rt.mergeList(w, "/v1/jobs", "jobs")
+	rt.mergeList(w, r, "/v1/jobs", "jobs")
 }
 
 // handleSessionList merges every shard's GET /v1/sessions.
 func (rt *Router) handleSessionList(w http.ResponseWriter, r *http.Request) {
-	rt.mergeList(w, "/v1/sessions", "sessions")
+	rt.mergeList(w, r, "/v1/sessions", "sessions")
 }
 
 // mergeList fans a list endpoint out to every shard and concatenates the
 // named array field, leaving each element's bytes untouched.
-func (rt *Router) mergeList(w http.ResponseWriter, path, field string) {
+func (rt *Router) mergeList(w http.ResponseWriter, r *http.Request, path, field string) {
 	merged := make([]json.RawMessage, 0, 16)
-	ok := rt.fanout(w, path, func(_ int, body []byte) error {
+	ok := rt.fanout(w, r, path, func(_ int, body []byte) error {
 		var page map[string][]json.RawMessage
 		if err := json.Unmarshal(body, &page); err != nil {
 			return fmt.Errorf("decoding %s page: %v", field, err)
@@ -271,9 +318,7 @@ func (rt *Router) mergeList(w http.ResponseWriter, path, field string) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(map[string]any{field: merged})
+	json.NewEncoder(w).Encode(map[string]any{field: merged})
 }
 
 // shardHealth is one backend's row in the front door's /healthz.
@@ -311,9 +356,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(map[string]any{
+	json.NewEncoder(w).Encode(map[string]any{
 		"status":         status,
 		"mode":           "front-door",
 		"uptime_seconds": time.Since(rt.start).Seconds(),

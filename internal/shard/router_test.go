@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"prunesim/internal/scenario"
 	"prunesim/internal/service"
 	"prunesim/internal/shard"
+	"prunesim/internal/tenant"
 )
 
 // fleet is a two-shard prunesimd topology behind a front-door router, the
@@ -212,30 +214,37 @@ func TestRouterListMergesShards(t *testing.T) {
 }
 
 // TestRouterSSE: the front door streams a shard's SSE events through
-// unbuffered, ending with the done event.
+// unbuffered, ending with the done event. Several concurrent streams of
+// one job share the proxies' buffer pool and the job's event history.
 func TestRouterSSE(t *testing.T) {
 	f := newFleet(t, 2)
 	_, st := f.submit(t, f.smoke(t))
 
-	resp, err := http.Get(f.door.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(f.door.URL + "/v1/jobs/" + st.ID + "/events")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+				t.Errorf("events content-type %q", ct)
+				return
+			}
+			scanner := bufio.NewScanner(resp.Body)
+			for scanner.Scan() {
+				if scanner.Text() == "event: done" {
+					return
+				}
+			}
+			t.Error("SSE stream through the front door never delivered the done event")
+		}()
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("events content-type %q", ct)
-	}
-	sawDone := false
-	scanner := bufio.NewScanner(resp.Body)
-	for scanner.Scan() {
-		if scanner.Text() == "event: done" {
-			sawDone = true
-			break
-		}
-	}
-	if !sawDone {
-		t.Fatal("SSE stream through the front door never delivered the done event")
-	}
+	wg.Wait()
 }
 
 // TestRouterSessions: session creation round-robins across shards and
@@ -391,5 +400,76 @@ func TestRouterMetrics(t *testing.T) {
 		if !strings.Contains(string(raw), want) {
 			t.Fatalf("router metrics missing %q:\n%s", want, raw)
 		}
+	}
+}
+
+// TestRouterListForwardsCredentials: list fan-outs present the caller's
+// API key to every shard. A keyed tenant is not throttled by the
+// anonymous tenant's bucket, and a key the shards do not know is refused
+// with their 401 instead of listing anonymously.
+func TestRouterListForwardsCredentials(t *testing.T) {
+	lib, err := scenarios.Library()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2
+	addrs := make([]string, n)
+	for i := range addrs {
+		reg, err := tenant.NewRegistry(tenant.Config{
+			Anonymous: tenant.Limits{RateQPS: 0.001, Burst: 1},
+			Keys:      []tenant.KeyEntry{{Key: "team-key", Name: "team"}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := service.New(service.Config{Workers: -1, Library: lib, Tenants: reg, IDPrefix: shard.Prefix(i)})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { ts.Close(); srv.Close() })
+		addrs[i] = ts.URL
+	}
+	rt, err := shard.NewRouter(shard.RouterConfig{Backends: addrs, Library: lib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	door := httptest.NewServer(rt.Handler())
+	t.Cleanup(door.Close)
+
+	var retryAfter string
+	list := func(path, header, value string) (int, string) {
+		req, _ := http.NewRequest("GET", door.URL+path, nil)
+		if header != "" {
+			req.Header.Set(header, value)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		retryAfter = resp.Header.Get("Retry-After")
+		return resp.StatusCode, string(raw)
+	}
+	for _, path := range []string{"/v1/jobs", "/v1/sessions"} {
+		for i := 0; i < 3; i++ {
+			if code, raw := list(path, "Authorization", "Bearer team-key"); code != http.StatusOK {
+				t.Fatalf("keyed %s #%d: status %d, want 200: %s", path, i+1, code, raw)
+			}
+			if code, raw := list(path, "X-API-Key", "team-key"); code != http.StatusOK {
+				t.Fatalf("keyed (X-API-Key) %s #%d: status %d, want 200: %s", path, i+1, code, raw)
+			}
+		}
+		code, raw := list(path, "Authorization", "Bearer revoked-key")
+		if code != http.StatusUnauthorized || !strings.Contains(raw, `"unauthorized"`) {
+			t.Fatalf("unknown key %s: status %d, want 401 unauthorized: %s", path, code, raw)
+		}
+	}
+	// Anonymous callers still get their own bucket: the first list spends
+	// each shard's only token, the second relays the shard's 429.
+	if code, raw := list("/v1/jobs", "", ""); code != http.StatusOK {
+		t.Fatalf("first anonymous list: status %d, want 200: %s", code, raw)
+	}
+	code, raw := list("/v1/jobs", "", "")
+	if code != http.StatusTooManyRequests || !strings.Contains(raw, `"rate_limited"`) || retryAfter == "" {
+		t.Fatalf("second anonymous list: status %d, Retry-After %q, want 429 rate_limited with Retry-After: %s", code, retryAfter, raw)
 	}
 }
