@@ -200,19 +200,3 @@ func (m *Matrix) TaskAvg(t int) float64 { return m.taskAvg[t] }
 // AvgAll returns the grand mean execution time over all task types
 // (avg_all in the deadline formula, Eq. 4).
 func (m *Matrix) AvgAll() float64 { return m.avgAll }
-
-// BestMachineTypes returns machine-type indices sorted ascending by mean
-// execution time for task type t (used by MET and KPB).
-func (m *Matrix) BestMachineTypes(t int) []int {
-	idx := make([]int, m.NumMachineTypes())
-	for j := range idx {
-		idx[j] = j
-	}
-	// Insertion sort: nm is tiny and this avoids an import.
-	for i := 1; i < len(idx); i++ {
-		for k := i; k > 0 && m.pmfMeans[t][idx[k]] < m.pmfMeans[t][idx[k-1]]; k-- {
-			idx[k], idx[k-1] = idx[k-1], idx[k]
-		}
-	}
-	return idx
-}

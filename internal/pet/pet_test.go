@@ -111,28 +111,6 @@ func TestTaskAvgAndAvgAll(t *testing.T) {
 	}
 }
 
-func TestBestMachineTypesSorted(t *testing.T) {
-	m := Standard(DefaultParams())
-	for tt := 0; tt < m.NumTaskTypes(); tt++ {
-		order := m.BestMachineTypes(tt)
-		if len(order) != m.NumMachineTypes() {
-			t.Fatalf("order length %d", len(order))
-		}
-		seen := make(map[int]bool)
-		for k := 1; k < len(order); k++ {
-			if m.MeanExec(tt, order[k-1]) > m.MeanExec(tt, order[k]) {
-				t.Fatalf("type %d: order not ascending", tt)
-			}
-		}
-		for _, j := range order {
-			if seen[j] {
-				t.Fatalf("type %d: duplicate machine %d", tt, j)
-			}
-			seen[j] = true
-		}
-	}
-}
-
 func TestHomogeneous(t *testing.T) {
 	m := Homogeneous(DefaultParams())
 	if m.NumMachineTypes() != 1 {

@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"prunesim/internal/core"
 	"prunesim/internal/pet"
+	"prunesim/internal/sched"
 )
 
 // This file holds the platform/prune halves of the scenario schema as
@@ -27,6 +29,52 @@ func (p Platform) WithDefaults() Platform {
 		p.Heuristic = "MM"
 	}
 	return p
+}
+
+// Validate checks a defaulted platform spec. Everything it accepts lowers
+// to a PET matrix, a machine list and a heuristic without panicking, so it
+// runs at both boundaries that take a spec from outside: Scenario.Normalize
+// and session creation.
+func (p Platform) Validate() error {
+	if p.Profile != ProfileStandard && p.Profile != ProfileHomogeneous {
+		return fmt.Errorf("unknown platform.profile %q (want %q or %q)", p.Profile, ProfileStandard, ProfileHomogeneous)
+	}
+	if p.Machines <= 0 {
+		return fmt.Errorf("platform.machines must be positive, got %d", p.Machines)
+	}
+	if p.Slots < 0 {
+		return fmt.Errorf("platform.slots must be non-negative, got %d", p.Slots)
+	}
+	if p.PCTTailEps < 0 || p.PCTTailEps >= 1 || math.IsNaN(p.PCTTailEps) {
+		return fmt.Errorf("platform.pct_tail_eps %v out of range [0, 1)", p.PCTTailEps)
+	}
+	if o := p.PET; o != nil {
+		// The shapes are checked after lowering too: a shape_hi given
+		// alone, below the default shape_lo, is an invalid pair for pet.
+		lowered := p.PETParams()
+		if o.BinWidth < 0 || o.Samples < 0 || o.ShapeLo < 0 || o.ShapeHi < o.ShapeLo || lowered.ShapeHi < lowered.ShapeLo {
+			return fmt.Errorf("invalid platform.pet overrides %+v", *o)
+		}
+	}
+	_, imm, err := sched.ByName(p.Heuristic)
+	if err != nil {
+		return fmt.Errorf("unknown platform.heuristic %q (have %v)", p.Heuristic, sched.Names())
+	}
+	switch p.Mode {
+	case "":
+		// Inferred from the heuristic in Scenario.mode.
+	case "batch":
+		if imm {
+			return fmt.Errorf("heuristic %q is immediate-mode but platform.mode is \"batch\"", p.Heuristic)
+		}
+	case "immediate":
+		if !imm {
+			return fmt.Errorf("heuristic %q is batch-mode but platform.mode is \"immediate\"", p.Heuristic)
+		}
+	default:
+		return fmt.Errorf("unknown platform.mode %q (want \"batch\" or \"immediate\")", p.Mode)
+	}
+	return nil
 }
 
 // PETParams lowers the spec's PET overrides onto the paper's generation

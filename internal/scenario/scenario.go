@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -489,9 +488,8 @@ func (s Scenario) validate() error {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 
-	if p.Profile != ProfileStandard && p.Profile != ProfileHomogeneous {
-		return fmt.Errorf("scenario %q: unknown platform.profile %q (want %q or %q)",
-			s.Name, p.Profile, ProfileStandard, ProfileHomogeneous)
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	// Compile the events block at scale 1 so schedule errors (bad actions,
 	// out-of-range times, state-machine violations, invalid surge windows)
@@ -502,39 +500,6 @@ func (s Scenario) validate() error {
 		if _, err := workload.WithRateWindows(nil, windows, wcfg, len(pet.TaskTypeNames)); err != nil {
 			return fmt.Errorf("scenario %q: events: %w", s.Name, err)
 		}
-	}
-
-	if p.Machines <= 0 {
-		return fmt.Errorf("scenario %q: platform.machines must be positive, got %d", s.Name, p.Machines)
-	}
-	if p.Slots < 0 {
-		return fmt.Errorf("scenario %q: platform.slots must be non-negative, got %d", s.Name, p.Slots)
-	}
-	if p.PCTTailEps < 0 || p.PCTTailEps >= 1 || math.IsNaN(p.PCTTailEps) {
-		return fmt.Errorf("scenario %q: platform.pct_tail_eps %v out of range [0, 1)", s.Name, p.PCTTailEps)
-	}
-	if pet := p.PET; pet != nil {
-		if pet.BinWidth < 0 || pet.Samples < 0 || pet.ShapeLo < 0 || pet.ShapeHi < pet.ShapeLo {
-			return fmt.Errorf("scenario %q: invalid platform.pet overrides %+v", s.Name, *pet)
-		}
-	}
-	_, imm, err := sched.ByName(p.Heuristic)
-	if err != nil {
-		return fmt.Errorf("scenario %q: unknown platform.heuristic %q (have %v)", s.Name, p.Heuristic, sched.Names())
-	}
-	switch p.Mode {
-	case "":
-		// Inferred from the heuristic in mode().
-	case "batch":
-		if imm {
-			return fmt.Errorf("scenario %q: heuristic %q is immediate-mode but platform.mode is \"batch\"", s.Name, p.Heuristic)
-		}
-	case "immediate":
-		if !imm {
-			return fmt.Errorf("scenario %q: heuristic %q is batch-mode but platform.mode is \"immediate\"", s.Name, p.Heuristic)
-		}
-	default:
-		return fmt.Errorf("scenario %q: unknown platform.mode %q (want \"batch\" or \"immediate\")", s.Name, p.Mode)
 	}
 
 	if _, err := pr.toggleMode(); err != nil {

@@ -106,6 +106,7 @@ func TestValidationErrors(t *testing.T) {
 		{"negative fairness", func(s *Scenario) { f := -0.1; s.Prune.Fairness = &f }, "fairness"},
 		{"scale out of range", func(s *Scenario) { s.Run.Scale = 100 }, "scale"},
 		{"negative machines", func(s *Scenario) { s.Platform.Machines = -2 }, "machines"},
+		{"shape_hi below default shape_lo", func(s *Scenario) { s.Platform.PET = &PETParams{ShapeHi: 0.5} }, "pet"},
 		{"bad value bounds", func(s *Scenario) { s.Workload.ValueLo, s.Workload.ValueHi = 5, 1 }, "value"},
 		{"bad spike factor", func(s *Scenario) { s.Workload.SpikeFactor = 0.5 }, "spike"},
 		{"negative exclude boundary", func(s *Scenario) { ex := -1; s.Run.ExcludeBoundary = &ex }, "exclude_boundary"},

@@ -47,3 +47,37 @@ func BenchmarkSchedMapDeferred(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSchedPickKPB is one immediate-mode KPB pick on the paper's
+// eight machines and twelve task types: arrivals cycle through the types
+// on one Context with no machine failing, and every machine holds a queue,
+// so a pick is the ranking lookup plus the MCT scan of the best three.
+func BenchmarkSchedPickKPB(b *testing.B) {
+	const nTypes, nMachines = 12, 8
+	means := make([][]float64, nTypes)
+	for i := range means {
+		means[i] = make([]float64, nMachines)
+		for j := range means[i] {
+			means[i][j] = 0.5 * float64(1+(5*i+3*j)%11)
+		}
+	}
+	ctx := testFixture(means, 0)
+	for j, m := range ctx.Machines {
+		for k := 0; k < 3; k++ {
+			m.Enqueue(task.New(100+3*j+k, (j+k)%nTypes, 0, 1e9), 0)
+		}
+	}
+	tasks := make([]*task.Task, nTypes)
+	h := NewKPB(DefaultKPBPercent)
+	for i := range tasks {
+		tasks[i] = task.New(i, i, 0, 1e9)
+		h.Pick(ctx, tasks[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if h.Pick(ctx, tasks[i%nTypes]) < 0 {
+			b.Fatal("no usable machine")
+		}
+	}
+}

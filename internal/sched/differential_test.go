@@ -293,3 +293,128 @@ func FuzzBatchMap(f *testing.F) {
 		checkBatchReplay(t, seed, 1+int(nMachines%12), 1+int(nTasks%40), 1+int(nTypes%12))
 	})
 }
+
+// The tests below pin the memoized immediate-mode ranking (one machine
+// order per task type, rebuilt when the usable set changes) to the
+// per-pick ranking it replaced. A pick sequence imitates the immediate
+// mapping event: pick, enqueue the task on the chosen machine, and between
+// picks fail, rejoin or add machines at random.
+
+// refMET is MET re-ranked on every pick: an argmin scan over the usable
+// machines, lowest index on ties.
+func refMET(ctx *Context, t *task.Task) int {
+	best, bestExec := -1, math.Inf(1)
+	for j := range ctx.Machines {
+		if ctx.Usable(j) {
+			if e := ctx.MeanExec(t.Type, j); e < bestExec {
+				best, bestExec = j, e
+			}
+		}
+	}
+	return best
+}
+
+// refKPB is KPB re-ranked on every pick: an insertion sort of the usable
+// machines by expected execution time, then MCT over the best K percent.
+func refKPB(percent float64, ctx *Context, t *task.Task) int {
+	var order []int
+	for j := range ctx.Machines {
+		if ctx.Usable(j) {
+			order = append(order, j)
+		}
+	}
+	n := len(order)
+	if n == 0 {
+		return -1
+	}
+	keep := min(max(int(math.Ceil(percent/100*float64(n))), 1), n)
+	for i := 1; i < n; i++ {
+		for p := i; p > 0 && ctx.MeanExec(t.Type, order[p]) < ctx.MeanExec(t.Type, order[p-1]); p-- {
+			order[p], order[p-1] = order[p-1], order[p]
+		}
+	}
+	best, bestC := -1, math.Inf(1)
+	for _, j := range order[:keep] {
+		if c := ctx.Machines[j].ExpectedReady(ctx.Now) + ctx.MeanExec(t.Type, j); c < bestC {
+			best, bestC = j, c
+		}
+	}
+	return best
+}
+
+// checkImmediatePicks runs 60 arrivals through MET and KPB (at a
+// seed-drawn K) on one shared Context per heuristic and compares every pick
+// with the reference on the same state. Means tie on purpose: they come
+// from three values, or are all equal when homogeneous is set.
+func checkImmediatePicks(t *testing.T, seed uint64, nMachines, nTypes int, homogeneous bool) {
+	rng := rand.New(rand.NewPCG(seed, 0x1d))
+	maxMachines := nMachines + 3 // room for machines joining mid-run
+	means := make([][]float64, nTypes)
+	for i := range means {
+		means[i] = make([]float64, maxMachines)
+		for j := range means[i] {
+			means[i][j] = 1
+			if !homogeneous {
+				means[i][j] = 0.5 * float64(1+rng.IntN(3))
+			}
+		}
+	}
+	percent := []float64{DefaultKPBPercent, 1, 50, 100, 12.5 + 75*rng.Float64()}[rng.IntN(5)]
+	heuristics := []struct {
+		h   Immediate
+		ref func(*Context, *task.Task) int
+	}{
+		{NewMET(), refMET},
+		{NewKPB(percent), func(ctx *Context, t *task.Task) int { return refKPB(percent, ctx, t) }},
+	}
+	for _, hc := range heuristics {
+		// Both heuristics see the same fail/rejoin/join sequence.
+		ops := rand.New(rand.NewPCG(seed, 0x2e))
+		newMachine := func(j int) *machine.Machine {
+			return machine.New(j, j, func(tt int) *pmf.PMF { return pmf.Delta(means[tt][j], 0.5) }, 0.5)
+		}
+		machines := make([]*machine.Machine, nMachines)
+		for j := range machines {
+			machines[j] = newMachine(j)
+		}
+		ctx := &Context{Machines: machines, MeanExec: func(tt, j int) float64 { return means[tt][j] }}
+		for i := 0; i < 60; i++ {
+			ctx.Now = 0.5 * float64(i)
+			switch op := ops.IntN(10); {
+			case op < 2:
+				if m := ctx.Machines[ops.IntN(len(ctx.Machines))]; m.Down() {
+					m.Rejoin()
+				} else {
+					m.Fail()
+				}
+			case op == 2 && len(ctx.Machines) < maxMachines:
+				ctx.Machines = append(ctx.Machines, newMachine(len(ctx.Machines)))
+			}
+			tk := task.New(i, ops.IntN(nTypes), ctx.Now, ctx.Now+100)
+			want := hc.ref(ctx, tk)
+			if got := hc.h.Pick(ctx, tk); got != want {
+				t.Fatalf("seed %d: %s pick %d (type %d) = %d, want %d", seed, hc.h.Name(), i, tk.Type, got, want)
+			}
+			if want >= 0 {
+				ctx.Machines[want].Enqueue(tk, ctx.Now)
+			}
+		}
+	}
+}
+
+func TestImmediatePickDifferential(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 2))
+		checkImmediatePicks(t, seed, 1+rng.IntN(10), 1+rng.IntN(12), seed%4 == 0)
+	}
+}
+
+func FuzzImmediatePick(f *testing.F) {
+	f.Add(uint64(1), uint8(8), uint8(12), false)
+	f.Add(uint64(2), uint8(8), uint8(4), true)
+	f.Add(uint64(3), uint8(1), uint8(1), false)
+	f.Add(uint64(4), uint8(3), uint8(7), false)
+	f.Fuzz(func(t *testing.T, seed uint64, nMachines, nTypes uint8, homogeneous bool) {
+		checkImmediatePicks(t, seed, 1+int(nMachines%12), 1+int(nTypes%12), homogeneous)
+	})
+}

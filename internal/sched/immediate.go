@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 
 	"prunesim/internal/task"
 )
@@ -51,18 +52,13 @@ func NewMET() *MET { return &MET{} }
 // Name implements Immediate.
 func (*MET) Name() string { return "MET" }
 
-// Pick implements Immediate.
+// Pick implements Immediate. The ranking's first machine is the usable
+// machine with the lowest expected execution time, lowest index on ties.
 func (*MET) Pick(ctx *Context, t *task.Task) int {
-	best, bestExec := -1, math.Inf(1)
-	for j := range ctx.Machines {
-		if !ctx.Usable(j) {
-			continue
-		}
-		if e := ctx.MeanExec(t.Type, j); e < bestExec {
-			best, bestExec = j, e
-		}
+	if order := ctx.ranked(t.Type); len(order) > 0 {
+		return order[0].j
 	}
-	return best
+	return -1
 }
 
 // MCT maps each task to the machine with the Minimum expected Completion
@@ -95,7 +91,6 @@ func (*MCT) Pick(ctx *Context, t *task.Task) int {
 // for the arriving task's type.
 type KPB struct {
 	percent float64
-	order   []int // reusable machine-ranking buffer (one Pick at a time)
 }
 
 // NewKPB returns a KPB heuristic keeping the given percentage of machines
@@ -114,16 +109,7 @@ func (*KPB) Name() string { return "KPB" }
 // the heuristic keeps its paper semantics while a failed machine is down
 // (and is unchanged when all machines are up).
 func (k *KPB) Pick(ctx *Context, t *task.Task) int {
-	if cap(k.order) < len(ctx.Machines) {
-		k.order = make([]int, len(ctx.Machines))
-	}
-	// Rank usable machines by expected execution time for this task type.
-	order := k.order[:0]
-	for j := range ctx.Machines {
-		if ctx.Usable(j) {
-			order = append(order, j)
-		}
-	}
+	order := ctx.ranked(t.Type)
 	n := len(order)
 	if n == 0 {
 		return -1
@@ -135,16 +121,76 @@ func (k *KPB) Pick(ctx *Context, t *task.Task) int {
 	if keep > n {
 		keep = n
 	}
-	for i := 1; i < n; i++ {
-		for p := i; p > 0 && ctx.MeanExec(t.Type, order[p]) < ctx.MeanExec(t.Type, order[p-1]); p-- {
-			order[p], order[p-1] = order[p-1], order[p]
-		}
-	}
 	best, bestC := -1, math.Inf(1)
-	for _, j := range order[:keep] {
-		if c := ctx.Machines[j].ExpectedReady(ctx.Now) + ctx.MeanExec(t.Type, j); c < bestC {
-			best, bestC = j, c
+	for _, r := range order[:keep] {
+		if c := ctx.Machines[r.j].ExpectedReady(ctx.Now) + r.mean; c < bestC {
+			best, bestC = r.j, c
 		}
 	}
 	return best
+}
+
+// ranking memoizes, per task type, the usable machines in ascending
+// MeanExec order. MeanExec is fixed for the Context's life, so an order
+// changes only with the usable set: ranked compares that set on every call
+// and starts a new generation when it differs (a failure, a rejoin or a
+// joined machine), which lapses every type's order.
+type ranking struct {
+	usable []bool // the usable set generation gen was built on
+	gen    uint64
+	types  []rankMemo
+}
+
+// rankMemo is one task type's machine order in generation gen.
+type rankMemo struct {
+	gen   uint64
+	order []rankedMachine
+}
+
+// rankedMachine is machine j with its expected execution time for the
+// ranked type.
+type rankedMachine struct {
+	j    int
+	mean float64
+}
+
+// ranked returns the usable machines ordered by ascending expected
+// execution time for taskType, ascending machine index among equal times.
+// The slice is owned by c and valid until the usable set changes.
+func (c *Context) ranked(taskType int) []rankedMachine {
+	if c.rank == nil {
+		c.rank = new(ranking)
+	}
+	r, n := c.rank, len(c.Machines)
+	stale := len(r.usable) != n
+	r.usable = slices.Grow(r.usable[:0], n)[:n]
+	for j, m := range c.Machines {
+		if u := !m.Down(); u != r.usable[j] {
+			r.usable[j], stale = u, true
+		}
+	}
+	if stale {
+		r.gen++
+	}
+	if taskType >= len(r.types) {
+		r.types = slices.Grow(r.types, taskType+1-len(r.types))[:taskType+1]
+	}
+	e := &r.types[taskType]
+	if e.gen != r.gen {
+		e.gen, e.order = r.gen, slices.Grow(e.order[:0], n)
+		for j, u := range r.usable {
+			if !u {
+				continue
+			}
+			// Insertion with a strict < keeps equal times in index order.
+			m := rankedMachine{j, c.MeanExec(taskType, j)}
+			p := len(e.order)
+			e.order = append(e.order, m)
+			for ; p > 0 && m.mean < e.order[p-1].mean; p-- {
+				e.order[p] = e.order[p-1]
+			}
+			e.order[p] = m
+		}
+	}
+	return e.order
 }

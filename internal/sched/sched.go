@@ -29,10 +29,11 @@ type Context struct {
 	Machines []*machine.Machine
 	// MeanExec returns the expected execution time of a task type on a
 	// machine (by machine ID), read from the PET matrix. It must return the
-	// same value for a given (type, machine index) for the Context's whole
-	// life: batch heuristics memoize answers derived from it across Map
-	// calls, keyed on machine state but not on MeanExec or Now (see
-	// virtualState).
+	// same finite value for a given (type, machine index) for the Context's
+	// whole life: batch heuristics memoize answers derived from it across
+	// Map calls, keyed on machine state but not on MeanExec or Now (see
+	// virtualState), and immediate heuristics memoize a per-type machine
+	// ranking keyed only on the usable set (see ranking).
 	MeanExec func(taskType, machineID int) float64
 	// Slots caps the number of pending (not yet running) tasks per machine
 	// queue in batch mode. Zero or negative means unbounded (immediate mode).
@@ -48,6 +49,9 @@ type Context struct {
 	// vs is the batch heuristics' working state, kept across Map calls
 	// (see virtualState). Copies of a Context share it.
 	vs *virtualState
+	// rank is the immediate heuristics' per-type machine ranking, kept
+	// across Pick calls (see ranking). Copies of a Context share it.
+	rank *ranking
 }
 
 // Usable reports whether machine j can accept work: a machine taken down by

@@ -45,6 +45,14 @@ func TestErrorEnvelopeContract(t *testing.T) {
 			`{"platform": {"heuristic": "NOPE"}, "prune": {}}`, 400, "invalid_session"},
 		{"session batch heuristic", "POST", "/v1/sessions",
 			`{"platform": {"heuristic": "MM"}, "prune": {}}`, 400, "invalid_session"},
+		// Platform specs that panicked while building the PET matrix or
+		// the machine list before session creation validated them.
+		{"session shape_lo above default shape_hi", "POST", "/v1/sessions",
+			`{"platform": {"pet": {"shape_lo": 50}}}`, 400, "invalid_session"},
+		{"session shape_hi below default shape_lo", "POST", "/v1/sessions",
+			`{"platform": {"pet": {"shape_hi": 0.5}}}`, 400, "invalid_session"},
+		{"session negative machines", "POST", "/v1/sessions",
+			`{"platform": {"machines": -1}}`, 400, "invalid_session"},
 		{"session get unknown", "GET", "/v1/sessions/zzz", "", 404, "not_found"},
 		{"session get expired", "GET", "/v1/sessions/" + gone, "", 410, "session_expired"},
 		{"session delete unknown", "DELETE", "/v1/sessions/zzz", "", 404, "not_found"},

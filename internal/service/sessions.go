@@ -138,6 +138,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		p.Heuristic = "MCT"
 	}
 	p = p.WithDefaults()
+	if err := p.Validate(); err != nil {
+		apiError(w, http.StatusBadRequest, CodeInvalidSession, "invalid platform: %v", err)
+		return
+	}
 	matrix, err := p.BuildMatrix()
 	if err != nil {
 		apiError(w, http.StatusBadRequest, CodeInvalidSession, "invalid platform: %v", err)
