@@ -214,7 +214,7 @@ func BenchmarkSimulationMM1M(b *testing.B) {
 	b.ResetTimer()
 	var rob float64
 	for i := 0; i < b.N; i++ {
-		res, err := platform.RunTrialStream(wcfg, i)
+		res, err := platform.RunTrial(wcfg, i)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -224,16 +224,22 @@ func BenchmarkSimulationMM1M(b *testing.B) {
 }
 
 // BenchmarkSimulationMM1MMaterialized is the same trial over a
-// materialized workload (Run over the whole task slice, no struct
-// recycled) — the picture the streaming bytes/op win is measured against. Not part of the CI gate's baseline comparisons;
-// it exists so `benchdiff` can show the ratio on demand.
+// materialized workload (GenerateWorkload, then Run over the whole task
+// slice, no struct recycled) — the picture the streaming bytes/op win is
+// measured against. Not part of the CI gate's baseline comparisons; it
+// exists so `benchdiff` can show the ratio on demand.
 func BenchmarkSimulationMM1MMaterialized(b *testing.B) {
 	platform := mm1MPlatform(b)
 	wcfg := mm1MWorkload()
 	b.ResetTimer()
 	var rob float64
 	for i := 0; i < b.N; i++ {
-		res, err := platform.RunTrial(wcfg, i)
+		wcfg.Trial = i
+		tasks, err := prunesim.GenerateWorkload(platform.Config().Matrix, wcfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := platform.Run(tasks)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func main() {
 
 	if len(scenarios) > 0 {
 		for _, name := range []string{"fig", "csv", "md"} {
-			if flagSet(name) {
+			if cli.FlagGiven(name) {
 				fatal(fmt.Errorf("-%s does not apply in scenario mode (use -out for JSON outcomes)", name))
 			}
 		}
@@ -133,13 +133,13 @@ func runScenarios(paths []string, o overrides) {
 		if err != nil {
 			fatal(err)
 		}
-		if flagSet("trials") {
+		if cli.FlagGiven("trials") {
 			sc.Run.Trials = o.trials
 		}
-		if flagSet("scale") {
+		if cli.FlagGiven("scale") {
 			sc.Run.Scale = o.scale
 		}
-		if flagSet("seed") {
+		if cli.FlagGiven("seed") {
 			sc.Run.Seed = o.seed
 		}
 		start := time.Now()
@@ -169,17 +169,6 @@ func runScenarios(paths []string, o overrides) {
 			fmt.Printf("wrote %s\n", o.out)
 		}
 	}
-}
-
-// flagSet reports whether the named flag was given explicitly.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func printFigure(fr *prunesim.FigureResult, elapsed time.Duration) {

@@ -68,7 +68,7 @@ func main() {
 		return
 	}
 	for _, name := range []string{"trials", "parallelism", "scale", "pace", "out"} {
-		if flagSet(name) {
+		if cli.FlagGiven(name) {
 			fatal(fmt.Errorf("-%s applies only with -scenario", name))
 		}
 	}
@@ -165,16 +165,16 @@ func runScenario(path string, o overrides) {
 	// Explicit overrides pass through even when invalid (negative trials,
 	// zero scale), so normalization rejects them loudly instead of
 	// silently keeping the file's setting.
-	if flagSet("trials") {
+	if cli.FlagGiven("trials") {
 		sc.Run.Trials = o.trials
 	}
-	if flagSet("parallelism") {
+	if cli.FlagGiven("parallelism") {
 		sc.Run.Parallelism = o.parallelism
 	}
-	if flagSet("scale") {
+	if cli.FlagGiven("scale") {
 		sc.Run.Scale = o.scale
 	}
-	if flagSet("seed") {
+	if cli.FlagGiven("seed") {
 		sc.Run.Seed = o.seed
 	}
 	// The live view: every finished trial folds into a streaming timeline
@@ -190,15 +190,7 @@ func runScenario(path string, o overrides) {
 			At:         time.Since(start).Seconds(),
 			Duration:   p.DurationSeconds,
 			Robustness: p.Robustness,
-			Counts: timeline.Counts{
-				Counted:          p.Counted,
-				OnTime:           p.OnTime,
-				Late:             p.Late,
-				DroppedReactive:  p.DroppedReactive,
-				DroppedProactive: p.DroppedProactive,
-				Unfinished:       p.Unfinished,
-				Deferrals:        p.Deferrals,
-			},
+			Counts:     p.Counts,
 		})
 		progress.update(p, tl)
 	}
@@ -341,17 +333,6 @@ func printTimeline(s *timeline.Snapshot) {
 // fmtSeconds renders a duration in seconds with a sensible unit.
 func fmtSeconds(s float64) string {
 	return time.Duration(s * float64(time.Second)).Round(time.Millisecond).String()
-}
-
-// flagSet reports whether the named flag was given explicitly.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // printResult prints the outcome breakdown of one simulation run.

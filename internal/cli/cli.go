@@ -1,11 +1,12 @@
 // Package cli holds the small pieces the prunesim front ends share —
 // cmd/hcsim, cmd/experiments and cmd/prunesimd: output-path handling
-// ("-" means stdout, parent directories are created on demand) and
-// scenario-library loading from a directory.
+// ("-" means stdout, parent directories are created on demand),
+// scenario-library loading from a directory and explicit-flag detection.
 package cli
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -75,4 +76,16 @@ func LoadScenarioDir(dir string) ([]scenario.Scenario, error) {
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+// FlagGiven reports whether the named command-line flag was given
+// explicitly, as opposed to left at its default.
+func FlagGiven(name string) bool {
+	given := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			given = true
+		}
+	})
+	return given
 }

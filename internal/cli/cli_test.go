@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,5 +70,18 @@ func TestLoadScenarioDir(t *testing.T) {
 	empty, err := LoadScenarioDir(t.TempDir())
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty dir: %v, %v", empty, err)
+	}
+}
+
+func TestFlagGiven(t *testing.T) {
+	flag.Int("flag-given-probe", 7, "")
+	if FlagGiven("flag-given-probe") {
+		t.Fatal("flag left at its default reported as given")
+	}
+	if err := flag.Set("flag-given-probe", "7"); err != nil {
+		t.Fatal(err)
+	}
+	if !FlagGiven("flag-given-probe") {
+		t.Fatal("explicitly set flag not reported")
 	}
 }

@@ -161,7 +161,7 @@ func TestScaleThreadsThroughModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := n.workloadConfig(0)
+	cfg, err := n.workloadConfig(n.Run.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestScaleThreadsThroughModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcfg, err := nt.workloadConfig(0)
+	tcfg, err := nt.workloadConfig(nt.Run.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"prunesim/internal/sched"
 	"prunesim/internal/sim"
 	"prunesim/internal/stats"
+	"prunesim/internal/timeline"
 	"prunesim/internal/workload"
 )
 
@@ -53,9 +53,9 @@ type CellResult struct {
 // (keyed by profile and generation parameters), so sweeps spanning many
 // cells pay matrix construction once. An Engine is safe for concurrent use.
 type Engine struct {
-	// Parallelism bounds concurrent trials per Run or Sweep call; 0
-	// falls back to the scenario's own setting (Run) or GOMAXPROCS
-	// (Sweep).
+	// Parallelism bounds concurrent trials per Run or Sweep call; 0 falls
+	// back to the largest run.parallelism among the scenarios run (for
+	// Run, the scenario's own setting).
 	Parallelism int
 	// NewClock, when non-nil, supplies each trial's simulation clock (see
 	// internal/clock); it is called once per trial because a wall-paced
@@ -75,39 +75,30 @@ type matrixKey struct {
 	params  pet.Params
 }
 
-// NewEngine returns an Engine with the given trial parallelism bound
-// (0 = GOMAXPROCS).
+// NewEngine returns an Engine with the given trial parallelism bound (0 =
+// each scenario's run.parallelism).
 func NewEngine(parallelism int) *Engine {
 	return &Engine{Parallelism: parallelism}
 }
 
-// matrix returns the cached PET matrix for a normalized scenario, building
-// it on first use.
-func (e *Engine) matrix(s Scenario) *pet.Matrix {
-	params := s.Platform.PETParams()
-	key := matrixKey{profile: s.Platform.Profile, params: params}
+// matrix returns the cached PET matrix of a normalized platform spec,
+// building it on first use.
+func (e *Engine) matrix(p Platform) (*pet.Matrix, error) {
+	key := matrixKey{profile: p.Profile, params: p.PETParams()}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if m, ok := e.matrices[key]; ok {
-		return m
+		return m, nil
 	}
-	var m *pet.Matrix
-	if s.Platform.Profile == ProfileHomogeneous {
-		m = pet.Homogeneous(params)
-	} else {
-		m = pet.Standard(params)
+	m, err := p.BuildMatrix()
+	if err != nil {
+		return nil, err
 	}
 	if e.matrices == nil {
 		e.matrices = make(map[matrixKey]*pet.Matrix)
 	}
 	e.matrices[key] = m
-	return m
-}
-
-// machineTypes returns the per-machine PET column assignment of a
-// normalized scenario (see Platform.MachineTypes).
-func machineTypes(s Scenario, m *pet.Matrix) []int {
-	return s.Platform.MachineTypes(m)
+	return m, nil
 }
 
 // TrialProgress reports one finished trial during RunWithProgress. Done
@@ -126,17 +117,9 @@ type TrialProgress struct {
 	Robustness float64 `json:"robustness"`
 	// DurationSeconds is the trial's wall-clock run time.
 	DurationSeconds float64 `json:"duration_seconds"`
-	// Counted is the number of tasks in the trial's measurement window;
-	// OnTime, Late, DroppedReactive, DroppedProactive and Unfinished
-	// partition it (sim.Result's terminal buckets). Deferrals counts
-	// deferring decisions.
-	Counted          int `json:"counted"`
-	OnTime           int `json:"on_time"`
-	Late             int `json:"late"`
-	DroppedReactive  int `json:"dropped_reactive"`
-	DroppedProactive int `json:"dropped_proactive"`
-	Unfinished       int `json:"unfinished"`
-	Deferrals        int `json:"deferrals"`
+	// Counts is the trial's outcome breakdown; its fields flatten into
+	// the JSON object.
+	timeline.Counts
 }
 
 // Run normalizes and executes one scenario, running its trials on a bounded
@@ -158,98 +141,87 @@ func (e *Engine) RunWithProgress(s Scenario, onTrial func(TrialProgress)) (*Outc
 	if err != nil {
 		return nil, err
 	}
-	par := e.Parallelism
-	if par <= 0 {
-		par = s.Run.Parallelism
+	out, err := e.run([]*compiled{c}, onTrial)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]*sim.Result, s.Run.Trials)
-	errs := make([]error, s.Run.Trials)
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	var progressMu sync.Mutex
-	done := 0
-	for trial := 0; trial < s.Run.Trials; trial++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(trial int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			start := time.Now()
-			results[trial], errs[trial] = e.runTrial(s, c, trial)
-			if onTrial != nil && errs[trial] == nil {
-				elapsed := time.Since(start).Seconds()
-				progressMu.Lock()
-				done++
-				r := results[trial]
-				onTrial(TrialProgress{
-					Trial:            trial,
-					Done:             done,
-					Total:            s.Run.Trials,
-					Robustness:       r.Robustness,
-					DurationSeconds:  elapsed,
-					Counted:          r.Counted,
-					OnTime:           r.OnTime,
-					Late:             r.Late,
-					DroppedReactive:  r.DroppedReactive,
-					DroppedProactive: r.DroppedProactive,
-					Unfinished:       r.Unfinished,
-					Deferrals:        r.Deferrals,
-				})
-				progressMu.Unlock()
-			}
-		}(trial)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return summarize(s, results), nil
+	return out[0], nil
 }
 
 // Sweep executes a set of cells, pooling all (cell, trial) jobs behind one
 // parallelism bound so fast cells do not leave workers idle while slow ones
-// finish. Cells are normalized up front; the first invalid cell aborts the
-// sweep before any trial runs.
+// finish. Cells are normalized and compiled up front; the first invalid
+// cell aborts the sweep before any trial runs.
 func (e *Engine) Sweep(cells []Cell) ([]CellResult, error) {
-	norm := make([]Scenario, len(cells))
-	for i, c := range cells {
-		s, err := c.Scenario.Normalize()
-		if err != nil {
-			return nil, fmt.Errorf("cell %s|%s: %w", c.Series, c.X, err)
+	cs := make([]*compiled, len(cells))
+	for i, cell := range cells {
+		s, err := cell.Scenario.Normalize()
+		if err == nil {
+			cs[i], err = e.compile(s)
 		}
-		norm[i] = s
+		if err != nil {
+			return nil, fmt.Errorf("cell %s|%s: %w", cell.Series, cell.X, err)
+		}
 	}
-	par := e.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	outs, err := e.run(cs, nil)
+	if err != nil {
+		return nil, err
 	}
+	res := make([]CellResult, len(cells))
+	for i, cell := range cells {
+		res[i] = CellResult{Series: cell.Series, X: cell.X, Outcome: outs[i]}
+	}
+	return res, nil
+}
+
+// run executes every trial of the compiled scenarios on one worker pool
+// and folds each scenario's results into its Outcome. onTrial, when
+// non-nil, is called under a lock after each finished trial, with Done and
+// Total counted over all trials of the call.
+func (e *Engine) run(cs []*compiled, onTrial func(TrialProgress)) ([]*Outcome, error) {
 	type job struct{ cell, trial int }
 	var jobs []job
-	perCell := make([][]*sim.Result, len(cells))
-	compiledCells := make([]*compiled, len(cells))
-	for i, s := range norm {
-		c, err := e.compile(s)
-		if err != nil {
-			return nil, fmt.Errorf("cell %s|%s: %w", cells[i].Series, cells[i].X, err)
-		}
-		compiledCells[i] = c
-		perCell[i] = make([]*sim.Result, s.Run.Trials)
-		for t := 0; t < s.Run.Trials; t++ {
+	par := 0
+	results := make([][]*sim.Result, len(cs))
+	for i, c := range cs {
+		par = max(par, c.s.Run.Parallelism)
+		results[i] = make([]*sim.Result, c.s.Run.Trials)
+		for t := range results[i] {
 			jobs = append(jobs, job{cell: i, trial: t})
 		}
+	}
+	if e.Parallelism > 0 {
+		par = e.Parallelism
 	}
 	errs := make([]error, len(jobs))
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
+	var progressMu sync.Mutex
+	done := 0
 	for j, jb := range jobs {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(j int, jb job) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			perCell[jb.cell][jb.trial], errs[j] = e.runTrial(norm[jb.cell], compiledCells[jb.cell], jb.trial)
+			start := time.Now()
+			r, err := e.runTrial(cs[jb.cell], jb.trial)
+			results[jb.cell][jb.trial], errs[j] = r, err
+			if onTrial == nil || err != nil {
+				return
+			}
+			elapsed := time.Since(start).Seconds()
+			progressMu.Lock()
+			defer progressMu.Unlock()
+			done++
+			onTrial(TrialProgress{
+				Trial:           jb.trial,
+				Done:            done,
+				Total:           len(jobs),
+				Robustness:      r.Robustness,
+				DurationSeconds: elapsed,
+				Counts:          timeline.ResultCounts(r),
+			})
 		}(j, jb)
 	}
 	wg.Wait()
@@ -258,30 +230,38 @@ func (e *Engine) Sweep(cells []Cell) ([]CellResult, error) {
 			return nil, err
 		}
 	}
-	out := make([]CellResult, len(cells))
-	for i, c := range cells {
-		out[i] = CellResult{Series: c.Series, X: c.X, Outcome: summarize(norm[i], perCell[i])}
+	outs := make([]*Outcome, len(cs))
+	for i, c := range cs {
+		outs[i] = summarize(c.s, results[i])
 	}
-	return out, nil
+	return outs, nil
 }
 
 // compiled is a normalized scenario's trial-independent state: the cached
-// PET matrix, the scaled workload configuration, and the arrival model
-// compiled from it. Trials only vary the RNG streams, so the sweep pays
-// model validation and construction (for traces: copying, sorting and
-// binning the arrival list) once per scenario, not once per trial.
+// PET matrix, the scaled workload configuration, the arrival model
+// compiled from it and the lowered simulator configuration. Trials only
+// vary the RNG streams, so the engine pays validation and lowering (for
+// traces: copying, sorting and binning the arrival list) once per
+// scenario, not once per trial.
 type compiled struct {
+	s      Scenario
 	matrix *pet.Matrix
 	wcfg   workload.Config // Trial left at 0; set per trial
 	model  workload.ArrivalModel
-	events []sim.PlatformEvent // Run.Scale applied; shared read-only by trials
+	// sim has every field but the per-trial Heuristic and Clock; its
+	// slices (machine types, events with Run.Scale applied) are shared
+	// read-only by trials.
+	sim sim.Config
 }
 
 // compile builds a normalized scenario's trial-independent state. Workload
 // configuration errors surface here — before any trial goroutine starts.
 func (e *Engine) compile(s Scenario) (*compiled, error) {
-	matrix := e.matrix(s)
-	wcfg, err := s.workloadConfig(0)
+	matrix, err := e.matrix(s.Platform)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
+	wcfg, err := s.workloadConfig(s.Run.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +277,34 @@ func (e *Engine) compile(s Scenario) (*compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: events: %w", s.Name, err)
 	}
-	return &compiled{matrix: matrix, wcfg: wcfg, model: model, events: events}, nil
+	prune, err := s.Prune.CoreConfig(matrix.NumTaskTypes())
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
+	// Normalize checked that an explicit platform.mode matches the
+	// heuristic's kind, so the kind alone decides the mode.
+	_, imm, err := sched.ByName(s.Platform.Heuristic)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+	}
+	mode := sim.BatchMode
+	if imm {
+		mode = sim.ImmediateMode
+	}
+	return &compiled{s: s, matrix: matrix, wcfg: wcfg, model: model, sim: sim.Config{
+		Mode:         mode,
+		MachineTypes: s.Platform.MachineTypes(matrix),
+		Slots:        s.Platform.Slots,
+		Prune:        prune,
+		Seed:         s.Run.Seed ^ 0xabcd,
+		// A stream's task total is known only when it drains, so the
+		// simulator clamps a boundary too large for it (n <=
+		// 2*exclude+1 excludes n/4 at each end).
+		ExcludeBoundary:     *s.Run.ExcludeBoundary,
+		AutoExcludeBoundary: true,
+		TailEps:             s.Platform.PCTTailEps,
+		Events:              events,
+	}}, nil
 }
 
 // runTrial executes one trial of a compiled scenario. A panic anywhere
@@ -305,13 +312,12 @@ func (e *Engine) compile(s Scenario) (*compiled, error) {
 // is converted to an error here, on the worker goroutine that would
 // otherwise crash the whole process — the serving layer turns it into a
 // failed job and stays up.
-func (e *Engine) runTrial(s Scenario, c *compiled, trial int) (res *sim.Result, err error) {
+func (e *Engine) runTrial(c *compiled, trial int) (res *sim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("scenario %q: trial %d panicked: %v", s.Name, trial, r)
+			res, err = nil, fmt.Errorf("scenario %q: trial %d panicked: %v", c.s.Name, trial, r)
 		}
 	}()
-	matrix := c.matrix
 	wcfg := c.wcfg
 	wcfg.Trial = trial
 	// Stream the workload instead of materializing it: the source yields
@@ -321,52 +327,19 @@ func (e *Engine) runTrial(s Scenario, c *compiled, trial int) (res *sim.Result, 
 	// per trial is required — trials run concurrently and the arena is not
 	// thread-safe (c.model is shared read-only; Stream() derives fresh
 	// per-trial state).
-	src := workload.NewSourceWith(matrix, c.model, wcfg)
-
+	src := workload.NewSourceWith(c.matrix, c.model, wcfg)
+	cfg := c.sim
 	// Fresh heuristic instance per trial: some heuristics carry cursors.
-	h, imm, err := sched.ByName(s.Platform.Heuristic)
-	if err != nil {
+	if cfg.Heuristic, _, err = sched.ByName(c.s.Platform.Heuristic); err != nil {
 		return nil, err
 	}
-	mode, err := s.mode()
-	if err != nil {
-		return nil, err
-	}
-	if imm != (mode == sim.ImmediateMode) {
-		return nil, fmt.Errorf("scenario %q: heuristic %s requires %s mode",
-			s.Name, s.Platform.Heuristic, map[bool]string{true: "immediate", false: "batch"}[imm])
-	}
-	prune, err := s.coreConfig(matrix.NumTaskTypes())
-	if err != nil {
-		return nil, err
-	}
-	slots := s.Platform.Slots
-	if slots == 0 {
-		slots = sim.DefaultSlots
-	}
-	var ck clock.Clock
 	if e.NewClock != nil {
-		ck = e.NewClock()
+		cfg.Clock = e.NewClock()
 	}
-	res, err = sim.RunStream(matrix, src, sim.Config{
-		Mode:         mode,
-		Heuristic:    h,
-		MachineTypes: machineTypes(s, matrix),
-		Slots:        slots,
-		Prune:        prune,
-		Seed:         s.Run.Seed ^ 0xabcd,
-		// The simulator clamps the boundary exactly as the old
-		// pre-materialized `len(tasks) <= 2*exclude+1` rule did, now that
-		// the count is only known when the stream drains.
-		ExcludeBoundary:     *s.Run.ExcludeBoundary,
-		AutoExcludeBoundary: true,
-		TailEps:             s.Platform.PCTTailEps,
-		Events:              c.events,
-		Clock:               ck,
-	})
+	res, err = sim.RunStream(c.matrix, src, cfg)
 	if errors.Is(err, sim.ErrNoTasks) {
 		return nil, fmt.Errorf("scenario %q: workload generated no tasks (tasks=%d at scale %v)",
-			s.Name, s.Workload.Tasks, s.Run.Scale)
+			c.s.Name, c.s.Workload.Tasks, c.s.Run.Scale)
 	}
 	return res, err
 }

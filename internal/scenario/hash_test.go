@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -178,5 +179,24 @@ func TestRunWithProgress(t *testing.T) {
 		if p.Robustness != out.Results[p.Trial].Robustness {
 			t.Errorf("trial %d progress robustness %v != result %v", p.Trial, p.Robustness, out.Results[p.Trial].Robustness)
 		}
+	}
+}
+
+// TestTrialProgressJSON pins the bytes of the SSE "progress" payload:
+// field names, order and flattening of the outcome breakdown.
+func TestTrialProgressJSON(t *testing.T) {
+	var p TrialProgress
+	p.Trial, p.Done, p.Total = 1, 2, 3
+	p.Robustness, p.DurationSeconds = 70.5, 0.25
+	p.Counted, p.OnTime, p.Late = 100, 70, 10
+	p.DroppedReactive, p.DroppedProactive, p.Unfinished, p.Deferrals = 9, 6, 5, 3
+	got, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"trial":1,"done":2,"total":3,"robustness":70.5,"duration_seconds":0.25,` +
+		`"counted":100,"on_time":70,"late":10,"dropped_reactive":9,"dropped_proactive":6,"unfinished":5,"deferrals":3}`
+	if string(got) != want {
+		t.Fatalf("progress payload\n got %s\nwant %s", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"prunesim/internal/core"
 	"prunesim/internal/pet"
 	"prunesim/internal/sched"
+	"prunesim/internal/sim"
 )
 
 // This file holds the platform/prune halves of the scenario schema as
@@ -14,6 +15,14 @@ import (
 // sessions from exactly the same JSON shapes a full scenario uses, so the
 // defaulting and lowering logic lives here once and both the sweep engine
 // and the admission layer delegate to it.
+
+// Bounds on the PET overrides. pet draws platform.pet.samples Gamma
+// samples for every matrix cell and histograms them into spread/bin_width
+// bins; session creation builds that matrix inside the HTTP handler.
+const (
+	maxPETSamples  = 10000 // 20x the paper's 500
+	minPETBinWidth = 0.01  // 1/50 of the paper's 0.5
+)
 
 // WithDefaults returns the platform spec with the paper defaults filled
 // into omitted fields (profile "standard", 8 machines, heuristic "MM").
@@ -39,8 +48,8 @@ func (p Platform) Validate() error {
 	if p.Profile != ProfileStandard && p.Profile != ProfileHomogeneous {
 		return fmt.Errorf("unknown platform.profile %q (want %q or %q)", p.Profile, ProfileStandard, ProfileHomogeneous)
 	}
-	if p.Machines <= 0 {
-		return fmt.Errorf("platform.machines must be positive, got %d", p.Machines)
+	if p.Machines <= 0 || p.Machines > sim.MaxMachines {
+		return fmt.Errorf("platform.machines must be in [1, %d], got %d", sim.MaxMachines, p.Machines)
 	}
 	if p.Slots < 0 {
 		return fmt.Errorf("platform.slots must be non-negative, got %d", p.Slots)
@@ -55,6 +64,12 @@ func (p Platform) Validate() error {
 		if o.BinWidth < 0 || o.Samples < 0 || o.ShapeLo < 0 || o.ShapeHi < o.ShapeLo || lowered.ShapeHi < lowered.ShapeLo {
 			return fmt.Errorf("invalid platform.pet overrides %+v", *o)
 		}
+		if o.Samples > maxPETSamples {
+			return fmt.Errorf("platform.pet.samples must be at most %d, got %d", maxPETSamples, o.Samples)
+		}
+		if o.BinWidth != 0 && o.BinWidth < minPETBinWidth {
+			return fmt.Errorf("platform.pet.bin_width must be at least %v, got %v", minPETBinWidth, o.BinWidth)
+		}
 	}
 	_, imm, err := sched.ByName(p.Heuristic)
 	if err != nil {
@@ -62,7 +77,7 @@ func (p Platform) Validate() error {
 	}
 	switch p.Mode {
 	case "":
-		// Inferred from the heuristic in Scenario.mode.
+		// Inferred from the heuristic in Engine.compile.
 	case "batch":
 		if imm {
 			return fmt.Errorf("heuristic %q is immediate-mode but platform.mode is \"batch\"", p.Heuristic)
@@ -103,7 +118,7 @@ func (p Platform) PETParams() pet.Params {
 
 // BuildMatrix generates the PET matrix the (defaulted) platform spec
 // describes. Callers that build many platforms should cache by
-// (Profile, PETParams) — see Engine.matrix.
+// (Profile, PETParams), as Engine does.
 func (p Platform) BuildMatrix() (*pet.Matrix, error) {
 	params := p.PETParams()
 	switch p.Profile {

@@ -29,8 +29,6 @@ import (
 
 	"prunesim/internal/core"
 	"prunesim/internal/pet"
-	"prunesim/internal/sched"
-	"prunesim/internal/sim"
 	"prunesim/internal/workload"
 )
 
@@ -480,7 +478,7 @@ func (s Scenario) validate() error {
 	// unscaled workload.Config and compiled): whatever this catches beyond
 	// the named checks above still fails here, at schema level, instead of
 	// inside a worker.
-	wcfg, err := s.unscaledWorkloadConfig()
+	wcfg, err := s.workloadConfig(1)
 	if err != nil {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
@@ -556,51 +554,14 @@ func (p Prune) toggleMode() (core.ToggleMode, error) {
 	}
 }
 
-// mode resolves the allocation mode, inferring it from the heuristic when
-// unset. The scenario must already be normalized.
-func (s Scenario) mode() (sim.Mode, error) {
-	switch s.Platform.Mode {
-	case "batch":
-		return sim.BatchMode, nil
-	case "immediate":
-		return sim.ImmediateMode, nil
-	}
-	_, imm, err := sched.ByName(s.Platform.Heuristic)
-	if err != nil {
-		return 0, err
-	}
-	if imm {
-		return sim.ImmediateMode, nil
-	}
-	return sim.BatchMode, nil
-}
-
-// coreConfig materializes the pruning configuration for the given number of
-// task types. The scenario must already be normalized.
-func (s Scenario) coreConfig(numTaskTypes int) (core.Config, error) {
-	return s.Prune.CoreConfig(numTaskTypes)
-}
-
-// workloadConfig materializes the workload generator configuration for one
-// trial, with Run.Scale applied: task counts, the time span, MMPP sojourn
-// times and trace timestamps all shrink together, so the oversubscription
-// level and burst structure are preserved. The scenario must already be
-// normalized.
-func (s Scenario) workloadConfig(trial int) (workload.Config, error) {
-	cfg, err := s.scaledWorkloadConfig(s.Run.Scale)
-	cfg.Trial = trial
-	return cfg, err
-}
-
-// unscaledWorkloadConfig lowers the workload spec at scale 1, the form
-// schema validation checks. (Run.Scale interacts at run time: a valid
-// scenario whose tasks*scale rounds to zero fails its trials with an
-// error, which the serving layer reports as a failed job.)
-func (s Scenario) unscaledWorkloadConfig() (workload.Config, error) {
-	return s.scaledWorkloadConfig(1)
-}
-
-func (s Scenario) scaledWorkloadConfig(scale float64) (workload.Config, error) {
+// workloadConfig lowers the workload spec to the generator configuration
+// (trial 0) with the given scale applied: task counts, the time span, MMPP
+// sojourn times and trace timestamps all shrink together, so the
+// oversubscription level and burst structure are preserved. Trials run at
+// Run.Scale; schema validation checks scale 1. (A valid scenario whose
+// tasks*scale rounds to zero fails its trials with an error, which the
+// serving layer reports as a failed job.)
+func (s Scenario) workloadConfig(scale float64) (workload.Config, error) {
 	model, err := s.Workload.model()
 	if err != nil {
 		return workload.Config{}, err

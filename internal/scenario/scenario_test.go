@@ -2,11 +2,16 @@ package scenario
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"prunesim/internal/core"
+	"prunesim/internal/pet"
+	"prunesim/internal/sched"
+	"prunesim/internal/sim"
 )
 
 // tiny returns a fast, fully specified scenario for engine tests.
@@ -106,6 +111,15 @@ func TestValidationErrors(t *testing.T) {
 		{"negative fairness", func(s *Scenario) { f := -0.1; s.Prune.Fairness = &f }, "fairness"},
 		{"scale out of range", func(s *Scenario) { s.Run.Scale = 100 }, "scale"},
 		{"negative machines", func(s *Scenario) { s.Platform.Machines = -2 }, "machines"},
+		{"too many machines", func(s *Scenario) { s.Platform.Machines = 1_000_000_000 }, "platform.machines"},
+		{"capacity joins past the machine bound", func(s *Scenario) {
+			s.Events = []EventSpec{
+				{At: 100, Action: ActionJoin, Count: 1 << 62},
+				{At: 200, Action: ActionJoin, Count: 1 << 62},
+			}
+		}, "exceeds"},
+		{"too many PET samples", func(s *Scenario) { s.Platform.PET = &PETParams{Samples: 1 << 40} }, "pet.samples"},
+		{"PET bin width too small", func(s *Scenario) { s.Platform.PET = &PETParams{BinWidth: 1e-9} }, "pet.bin_width"},
 		{"shape_hi below default shape_lo", func(s *Scenario) { s.Platform.PET = &PETParams{ShapeHi: 0.5} }, "pet"},
 		{"bad value bounds", func(s *Scenario) { s.Workload.ValueLo, s.Workload.ValueHi = 5, 1 }, "value"},
 		{"bad spike factor", func(s *Scenario) { s.Workload.SpikeFactor = 0.5 }, "spike"},
@@ -154,7 +168,7 @@ func TestFromCoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
-		got, err := n.coreConfig(12)
+		got, err := n.Prune.CoreConfig(12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,12 +239,19 @@ func TestEngineMatrixCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.matrix(s) != eng.matrix(s) {
+	m := func(s Scenario) *pet.Matrix {
+		m, err := eng.matrix(s.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if m(s) != m(s) {
 		t.Error("same scenario built two matrices")
 	}
 	heavy := s
 	heavy.Platform.PET = &PETParams{ShapeLo: 1, ShapeHi: 3}
-	if eng.matrix(s) == eng.matrix(heavy) {
+	if m(s) == m(heavy) {
 		t.Error("different PET params shared one matrix")
 	}
 }
@@ -241,9 +262,12 @@ func TestMachineTypesAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := eng.matrix(s)
+	m, err := eng.matrix(s.Platform)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.Platform.Machines = 12
-	types := machineTypes(s, m)
+	types := s.Platform.MachineTypes(m)
 	if len(types) != 12 {
 		t.Fatalf("want 12 machines, got %d", len(types))
 	}
@@ -251,9 +275,9 @@ func TestMachineTypesAssignment(t *testing.T) {
 		t.Errorf("round-robin assignment wrong: %v", types)
 	}
 	s.Platform.Profile = ProfileHomogeneous
-	for _, tt := range machineTypes(s, m) {
+	for _, tt := range s.Platform.MachineTypes(m) {
 		if tt != 0 {
-			t.Fatalf("homogeneous cluster has nonzero machine type: %v", machineTypes(s, m))
+			t.Fatalf("homogeneous cluster has nonzero machine type: %v", s.Platform.MachineTypes(m))
 		}
 	}
 }
@@ -273,4 +297,49 @@ func TestValueAwareScenario(t *testing.T) {
 	if out.WeightedRobustness.Mean <= 0 {
 		t.Errorf("weighted robustness not computed: %+v", out.WeightedRobustness)
 	}
+}
+
+// FuzzScenarioParse feeds arbitrary documents through Parse: whatever it
+// accepts must compile, and the compiled simulator configuration (with the
+// per-trial heuristic added) must pass sim.Validate — so a scenario that
+// passes the boundary never fails or panics while its trials start.
+func FuzzScenarioParse(f *testing.F) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, doc := range []string{
+		`{"workload": {"tasks": 100}}`,
+		`{"workload": {"tasks": 100}, "platform": {"heuristic": "KPB", "machines": 3, "slots": 4}}`,
+		`{"workload": {"tasks": 100}, "platform": {"profile": "homogeneous", "pet": {"samples": 50, "bin_width": 2}}}`,
+		`{"workload": {"tasks": 100}, "platform": {"mode": "immediate", "heuristic": "MM"}}`,
+		`{"workload": {"tasks": 100}, "events": [{"at": 10, "action": "join", "count": 2}]}`,
+		`{"workload": {"tasks": 100}, "prune": {"enabled": true, "threshold": 1, "toggle": "always"}, "run": {"exclude_boundary": 0}}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return // rejected at the boundary, which is all that is asked
+		}
+		c, err := NewEngine(1).compile(s)
+		if err != nil {
+			t.Fatalf("parsed scenario failed to compile: %v", err)
+		}
+		cfg := c.sim
+		if cfg.Heuristic, _, err = sched.ByName(s.Platform.Heuristic); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Validate(c.matrix, cfg); err != nil {
+			t.Fatalf("compiled configuration fails sim.Validate: %v", err)
+		}
+	})
 }

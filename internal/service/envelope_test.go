@@ -53,6 +53,20 @@ func TestErrorEnvelopeContract(t *testing.T) {
 			`{"platform": {"pet": {"shape_hi": 0.5}}}`, 400, "invalid_session"},
 		{"session negative machines", "POST", "/v1/sessions",
 			`{"platform": {"machines": -1}}`, 400, "invalid_session"},
+		// Platform specs that would allocate without bound before anything
+		// else could refuse them.
+		{"session too many machines", "POST", "/v1/sessions",
+			`{"platform": {"machines": 1000000000}}`, 400, "invalid_session"},
+		{"session too many PET samples", "POST", "/v1/sessions",
+			`{"platform": {"pet": {"samples": 1000000000}}}`, 400, "invalid_session"},
+		{"session PET bin width too small", "POST", "/v1/sessions",
+			`{"platform": {"pet": {"bin_width": 1e-9}}}`, 400, "invalid_session"},
+		{"jobs too many machines", "POST", "/v1/jobs",
+			`{"scenario": {"workload": {"tasks": 100}, "platform": {"machines": 1000000000}}}`, 400, "invalid_scenario"},
+		{"jobs capacity joins past the machine bound", "POST", "/v1/jobs",
+			`{"scenario": {"workload": {"tasks": 100}, "events": [` +
+				`{"at": 100, "action": "join", "count": 4611686018427387904},` +
+				`{"at": 200, "action": "join", "count": 4611686018427387904}]}}`, 400, "invalid_scenario"},
 		{"session get unknown", "GET", "/v1/sessions/zzz", "", 404, "not_found"},
 		{"session get expired", "GET", "/v1/sessions/" + gone, "", 410, "session_expired"},
 		{"session delete unknown", "DELETE", "/v1/sessions/zzz", "", 404, "not_found"},

@@ -197,15 +197,7 @@ func observations(results []*sim.Result) []timeline.Observation {
 			At:         -1,
 			Duration:   -1,
 			Robustness: r.Robustness,
-			Counts: timeline.Counts{
-				Counted:          r.Counted,
-				OnTime:           r.OnTime,
-				Late:             r.Late,
-				DroppedReactive:  r.DroppedReactive,
-				DroppedProactive: r.DroppedProactive,
-				Unfinished:       r.Unfinished,
-				Deferrals:        r.Deferrals,
-			},
+			Counts:     timeline.ResultCounts(r),
 		}
 	}
 	return obs

@@ -91,15 +91,7 @@ func (s *Server) process(job *Job) {
 			At:         time.Since(runStart).Seconds(),
 			Duration:   p.DurationSeconds,
 			Robustness: p.Robustness,
-			Counts: timeline.Counts{
-				Counted:          p.Counted,
-				OnTime:           p.OnTime,
-				Late:             p.Late,
-				DroppedReactive:  p.DroppedReactive,
-				DroppedProactive: p.DroppedProactive,
-				Unfinished:       p.Unfinished,
-				Deferrals:        p.Deferrals,
-			},
+			Counts:     p.Counts,
 		})
 		tp := p
 		job.publish(Event{Type: "progress", Trial: &tp})

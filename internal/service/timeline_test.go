@@ -37,9 +37,7 @@ func (e steppedEngine) RunWithProgress(s scenario.Scenario, onTrial func(scenari
 			onTrial(scenario.TrialProgress{
 				Trial: i, Done: i + 1, Total: s.Run.Trials,
 				Robustness: r.Robustness, DurationSeconds: 0.001,
-				Counted: r.Counted, OnTime: r.OnTime, Late: r.Late,
-				DroppedReactive: r.DroppedReactive, DroppedProactive: r.DroppedProactive,
-				Unfinished: r.Unfinished, Deferrals: r.Deferrals,
+				Counts: timeline.ResultCounts(r),
 			})
 		}
 	}

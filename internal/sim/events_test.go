@@ -271,6 +271,14 @@ func TestValidateEventsRejectsBadSchedules(t *testing.T) {
 		{"degrade down machine", []PlatformEvent{{Time: 1, Kind: PlatformFail, Machine: 0}, {Time: 2, Kind: PlatformDegrade, Machine: 0, Factor: 2}}},
 		{"bad factor", []PlatformEvent{{Time: 1, Kind: PlatformDegrade, Machine: 0, Factor: 0}}},
 		{"unknown kind", []PlatformEvent{{Time: 1, Kind: PlatformEventKind(42), Machine: 0}}},
+		{"join past the machine bound", []PlatformEvent{{Time: 1, Kind: PlatformJoin, Machine: -1, Count: MaxMachines - 7, MachineType: -1}}},
+		// Without an overflow-safe bound the running total wraps negative
+		// and the later fail of machine 0 looks in range.
+		{"joins overflowing int", []PlatformEvent{
+			{Time: 1, Kind: PlatformJoin, Machine: -1, Count: 1 << 62, MachineType: -1},
+			{Time: 2, Kind: PlatformJoin, Machine: -1, Count: 1 << 62, MachineType: -1},
+			{Time: 3, Kind: PlatformFail, Machine: 0},
+		}},
 	}
 	for _, c := range cases {
 		if err := ValidateEvents(8, 8, c.events); err == nil {
@@ -285,6 +293,14 @@ func TestValidateEventsRejectsBadSchedules(t *testing.T) {
 	}
 	if err := ValidateEvents(8, 8, ok); err != nil {
 		t.Errorf("valid schedule rejected: %v", err)
+	}
+	// Joins may fill the cluster exactly to the bound, but not start past it.
+	full := []PlatformEvent{{Time: 1, Kind: PlatformJoin, Machine: -1, Count: MaxMachines - 8, MachineType: -1}}
+	if err := ValidateEvents(8, 8, full); err != nil {
+		t.Errorf("join up to MaxMachines rejected: %v", err)
+	}
+	if err := ValidateEvents(MaxMachines+1, 8, nil); err == nil {
+		t.Error("cluster above MaxMachines accepted")
 	}
 }
 

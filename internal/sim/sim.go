@@ -181,13 +181,21 @@ type PlatformEvent struct {
 	Factor float64
 }
 
+// MaxMachines bounds the cluster size, initial or reached through capacity
+// joins: every machine costs simulator state and a scan per mapping event.
+const MaxMachines = 4096
+
 // ValidateEvents checks a platform-event schedule against a cluster of the
 // given initial size and a PET matrix with machineTypes columns: times must
 // be finite, non-negative and non-decreasing, targets must exist at the
 // time they are referenced, a machine may only fail while up and only
-// rejoin while down. Shared by the simulator and the scenario compiler so
-// both reject the same schedules.
+// rejoin while down, and the cluster never exceeds MaxMachines. Shared by
+// the simulator and the scenario compiler so both reject the same
+// schedules.
 func ValidateEvents(machines, machineTypes int, events []PlatformEvent) error {
+	if machines > MaxMachines {
+		return fmt.Errorf("sim: cluster of %d machines exceeds %d", machines, MaxMachines)
+	}
 	n := machines
 	down := make(map[int]bool, 4)
 	prev := math.Inf(-1)
@@ -205,6 +213,9 @@ func ValidateEvents(machines, machineTypes int, events []PlatformEvent) error {
 			}
 			if e.MachineType < -1 || e.MachineType >= machineTypes {
 				return fmt.Errorf("sim: event %d: machine type %d outside PET matrix (%d types)", i, e.MachineType, machineTypes)
+			}
+			if e.Count > MaxMachines-n {
+				return fmt.Errorf("sim: event %d: joining %d machines to a cluster of %d exceeds %d", i, e.Count, n, MaxMachines)
 			}
 			n += e.Count
 			continue
@@ -436,9 +447,6 @@ func RunStream(matrix *pet.Matrix, src TaskSource, cfg Config) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.ExcludeBoundary < 0 {
-		return nil, fmt.Errorf("sim: ExcludeBoundary %d must be non-negative", s.cfg.ExcludeBoundary)
-	}
 	rec, _ := src.(TaskRecycler)
 	s.stream = streamState{src: src, rec: rec, pending: make(map[int]outcome)}
 	return s.runStream()
@@ -488,12 +496,23 @@ type stretchKey struct {
 	factorBits  uint64
 }
 
+// Validate reports whether RunStream accepts cfg over matrix: everything
+// but the ExcludeBoundary's fit to the task total, which a stream learns
+// only when it drains.
+func Validate(matrix *pet.Matrix, cfg Config) error {
+	_, err := newSimCore(matrix, cfg)
+	return err
+}
+
 // newSimCore validates cfg and builds the machine set, heuristic wiring
-// and pruner. ExcludeBoundary is validated by the callers: a stream's task
-// total is known only at the end of the trial.
+// and pruner. Whether ExcludeBoundary fits the task total is checked by
+// the callers: a stream's total is known only at the end of the trial.
 func newSimCore(matrix *pet.Matrix, cfg Config) (*simulator, error) {
 	if matrix == nil {
 		return nil, fmt.Errorf("sim: nil PET matrix")
+	}
+	if cfg.ExcludeBoundary < 0 {
+		return nil, fmt.Errorf("sim: ExcludeBoundary %d must be non-negative", cfg.ExcludeBoundary)
 	}
 	if len(cfg.MachineTypes) == 0 {
 		return nil, fmt.Errorf("sim: no machines configured")

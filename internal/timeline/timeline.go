@@ -21,6 +21,7 @@ import (
 	"sort"
 	"sync"
 
+	"prunesim/internal/sim"
 	"prunesim/internal/stats"
 )
 
@@ -45,6 +46,19 @@ type Counts struct {
 	Unfinished       int `json:"unfinished"`
 	// Deferrals counts deferring decisions (a task may defer repeatedly).
 	Deferrals int `json:"deferrals"`
+}
+
+// ResultCounts returns a simulation result's outcome breakdown.
+func ResultCounts(r *sim.Result) Counts {
+	return Counts{
+		Counted:          r.Counted,
+		OnTime:           r.OnTime,
+		Late:             r.Late,
+		DroppedReactive:  r.DroppedReactive,
+		DroppedProactive: r.DroppedProactive,
+		Unfinished:       r.Unfinished,
+		Deferrals:        r.Deferrals,
+	}
 }
 
 // add folds o into c.

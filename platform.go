@@ -70,23 +70,15 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	if cfg.Pruning.NumTaskTypes == 0 {
 		cfg.Pruning.NumTaskTypes = cfg.Matrix.NumTaskTypes()
 	}
-	_, imm, err := sched.ByName(cfg.Heuristic)
+	p := &Platform{cfg: cfg}
+	simCfg, err := p.simConfig()
 	if err != nil {
 		return nil, err
 	}
-	if imm && cfg.Mode != ImmediateAllocation {
-		return nil, fmt.Errorf("prunesim: heuristic %q requires ImmediateAllocation", cfg.Heuristic)
-	}
-	if !imm && cfg.Mode != BatchAllocation {
-		return nil, fmt.Errorf("prunesim: heuristic %q requires BatchAllocation", cfg.Heuristic)
-	}
-	if err := cfg.Pruning.Validate(); err != nil {
+	if err := sim.Validate(cfg.Matrix, simCfg); err != nil {
 		return nil, err
 	}
-	if cfg.PCTTailEps < 0 || cfg.PCTTailEps >= 1 {
-		return nil, fmt.Errorf("prunesim: PCTTailEps %v out of range [0, 1)", cfg.PCTTailEps)
-	}
-	return &Platform{cfg: cfg}, nil
+	return p, nil
 }
 
 // Config returns the platform's (defaulted) configuration.
@@ -132,21 +124,11 @@ func (p *Platform) Run(tasks []*Task) (*Result, error) {
 	return sim.Run(p.cfg.Matrix, tasks, cfg)
 }
 
-// RunTrial generates workload trial number `trial` from cfg and runs it.
+// RunTrial generates workload trial number `trial` from cfg as a stream
+// and runs it, with memory bounded by the in-flight task window plus fixed
+// per-machine state, never by the total task count. Its Result is
+// bitwise-identical to Run over GenerateWorkload's slice of the same trial.
 func (p *Platform) RunTrial(wcfg WorkloadConfig, trial int) (*Result, error) {
-	wcfg.Trial = trial
-	tasks, err := GenerateWorkload(p.cfg.Matrix, wcfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(tasks)
-}
-
-// RunTrialStream generates workload trial number `trial` as a stream and
-// runs it with memory bounded by the in-flight task window plus fixed
-// per-machine state, never by the total task count: the path for
-// million-task trials. Its Result is bitwise-identical to RunTrial's.
-func (p *Platform) RunTrialStream(wcfg WorkloadConfig, trial int) (*Result, error) {
 	wcfg.Trial = trial
 	src, err := workload.NewSource(p.cfg.Matrix, wcfg)
 	if err != nil {

@@ -342,9 +342,10 @@ func TestAssessCalibrationHonorsTailEps(t *testing.T) {
 	}
 }
 
-// TestTrialStreamMatchesTrial: every Platform run path shares one
-// ExcludeBoundary rule, so the materialized and streaming runs of a trial
-// agree even on workloads too small for the configured boundary.
+// TestTrialStreamMatchesTrial: RunTrial streams its workload, yet every
+// Platform run path shares one ExcludeBoundary rule, so it agrees with Run
+// over the materialized trial even on workloads too small for the
+// configured boundary.
 func TestTrialStreamMatchesTrial(t *testing.T) {
 	p, err := prunesim.NewPlatform(prunesim.PlatformConfig{Seed: 6, ExcludeBoundary: 100})
 	if err != nil {
@@ -352,16 +353,20 @@ func TestTrialStreamMatchesTrial(t *testing.T) {
 	}
 	for _, n := range []int{40, 200, 201, 203} {
 		wcfg := prunesim.DefaultWorkload(n)
-		want, err := p.RunTrial(wcfg, 0)
+		tasks, err := prunesim.GenerateWorkload(p.Config().Matrix, wcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.RunTrialStream(wcfg, 0)
+		want, err := p.Run(tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.RunTrial(wcfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d: RunTrialStream differs from RunTrial:\n got %+v\nwant %+v", n, got, want)
+			t.Errorf("n=%d: RunTrial differs from Run over the materialized trial:\n got %+v\nwant %+v", n, got, want)
 		}
 	}
 }

@@ -45,19 +45,13 @@ func (st *Study) Paced(speedup float64) *Study {
 // Run normalizes and executes the scenario, running its trials concurrently
 // (or sequentially against the wall clock if Paced).
 func (st *Study) Run() (*ScenarioOutcome, error) {
+	eng := scenario.NewEngine(0)
 	if st.speedup != 0 {
 		if !(st.speedup > 0) {
 			return nil, fmt.Errorf("pace: speedup must be positive, got %v", st.speedup)
 		}
-		eng := scenario.NewEngine(1)
+		st.scenario.Run.Parallelism = 1
 		eng.NewClock = func() clock.Clock { return clock.NewReal(st.speedup) }
-		s := st.scenario
-		s.Run.Parallelism = 1
-		return eng.RunWithProgress(s, st.onTrial)
 	}
-	eng := scenario.NewEngine(0)
-	if st.onTrial != nil {
-		return eng.RunWithProgress(st.scenario, st.onTrial)
-	}
-	return eng.Run(st.scenario)
+	return eng.RunWithProgress(st.scenario, st.onTrial)
 }
