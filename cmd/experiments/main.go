@@ -1,7 +1,6 @@
 // Command experiments regenerates the paper's evaluation figures and prints
 // the data series in paper-style rows (mean robustness ± 95% CI over N
-// trials). It can also run declarative scenario files through the same
-// sweep engine.
+// trials). Scenario files run through cmd/hcsim --scenario.
 //
 // Usage:
 //
@@ -10,8 +9,6 @@
 //	experiments -fig 8 -scale 0.2        # 20%-size workloads, same shape
 //	experiments -fig 6 -csv fig6.csv     # dump curve data as CSV
 //	experiments -fig 9b -md fig9b.md     # Markdown table (EXPERIMENTS.md style)
-//	experiments -scenario examples/scenarios/bursty_arrivals.json
-//	experiments -scenario a.json -scenario b.json -out outcomes.json
 package main
 
 import (
@@ -28,14 +25,7 @@ import (
 	"prunesim/internal/experiments"
 )
 
-// pathList accumulates repeated -scenario flags.
-type pathList []string
-
-func (p *pathList) String() string     { return strings.Join(*p, ",") }
-func (p *pathList) Set(v string) error { *p = append(*p, v); return nil }
-
 func main() {
-	var scenarios pathList
 	var (
 		fig      = flag.String("fig", "all", "figure to regenerate ("+strings.Join(prunesim.FigureNames(), ", ")+" or 'all')")
 		trials   = flag.Int("trials", 30, "workload trials per configuration point")
@@ -44,25 +34,8 @@ func main() {
 		parallel = flag.Int("parallelism", 0, "max concurrent trials (0 = GOMAXPROCS)")
 		csvPath  = flag.String("csv", "", "also write rows/points to this CSV file")
 		mdPath   = flag.String("md", "", "also write Markdown tables to this file")
-		outPath  = flag.String("out", "", "write scenario outcomes as JSON (scenario mode)")
 	)
-	flag.Var(&scenarios, "scenario", "run this scenario file instead of a figure (repeatable)")
 	flag.Parse()
-
-	if len(scenarios) > 0 {
-		for _, name := range []string{"fig", "csv", "md"} {
-			if cli.FlagGiven(name) {
-				fatal(fmt.Errorf("-%s does not apply in scenario mode (use -out for JSON outcomes)", name))
-			}
-		}
-		runScenarios(scenarios, overrides{
-			trials: *trials, scale: *scale, seed: *seed, parallel: *parallel, out: *outPath,
-		})
-		return
-	}
-	if *outPath != "" {
-		fatal(fmt.Errorf("-out applies only in scenario mode (use -csv or -md for figures)"))
-	}
 
 	opt := prunesim.FigureOptions{Trials: *trials, Scale: *scale, Seed: *seed, Parallelism: *parallel}
 	names := []string{*fig}
@@ -109,64 +82,6 @@ func main() {
 				fatal(err)
 			}
 			fmt.Fprintln(mdW)
-		}
-	}
-}
-
-// overrides carries the scenario-mode flag overrides; each applies only
-// when its flag was given explicitly on the command line.
-type overrides struct {
-	trials   int
-	scale    float64
-	seed     uint64
-	parallel int
-	out      string
-}
-
-// runScenarios executes scenario files through one shared engine and prints
-// each outcome.
-func runScenarios(paths []string, o overrides) {
-	eng := prunesim.NewScenarioEngine(o.parallel)
-	var outcomes []*prunesim.ScenarioOutcome
-	for _, path := range paths {
-		sc, err := prunesim.LoadScenario(path)
-		if err != nil {
-			fatal(err)
-		}
-		if cli.FlagGiven("trials") {
-			sc.Run.Trials = o.trials
-		}
-		if cli.FlagGiven("scale") {
-			sc.Run.Scale = o.scale
-		}
-		if cli.FlagGiven("seed") {
-			sc.Run.Seed = o.seed
-		}
-		start := time.Now()
-		outcome, err := eng.Run(sc)
-		if err != nil {
-			fatal(err)
-		}
-		sc = outcome.Scenario
-		fmt.Printf("\n=== Scenario %s (%s) ===\n", sc.Name, time.Since(start).Round(time.Millisecond))
-		if sc.Description != "" {
-			fmt.Printf("%s\n", sc.Description)
-		}
-		fmt.Printf("  %-10s %6.2f%% ± %5.2f over %d trials",
-			sc.Platform.Heuristic, outcome.Robustness.Mean, outcome.Robustness.CI95, outcome.Robustness.N)
-		if sc.Workload.ValueHi > 0 {
-			fmt.Printf("   weighted=%.2f%%±%.2f", outcome.WeightedRobustness.Mean, outcome.WeightedRobustness.CI95)
-		}
-		fmt.Println()
-		outcomes = append(outcomes, outcome)
-	}
-	if o.out != "" {
-		// "-" streams to stdout; parent directories are created on demand.
-		if err := cli.WriteJSON(o.out, outcomes); err != nil {
-			fatal(err)
-		}
-		if o.out != "-" {
-			fmt.Printf("wrote %s\n", o.out)
 		}
 	}
 }

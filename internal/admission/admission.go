@@ -41,6 +41,7 @@ import (
 	"prunesim/internal/pet"
 	"prunesim/internal/pmf"
 	"prunesim/internal/sched"
+	"prunesim/internal/sim"
 	"prunesim/internal/task"
 )
 
@@ -251,31 +252,21 @@ func NewSession(cfg Config) (*Session, error) {
 			cfg.MachineTypes[j] = j
 		}
 	}
-	if len(cfg.MachineTypes) == 0 {
-		return nil, fmt.Errorf("admission: at least one machine required")
-	}
-	for _, mt := range cfg.MachineTypes {
-		if mt < 0 || mt >= cfg.Matrix.NumMachineTypes() {
-			return nil, fmt.Errorf("admission: machine type %d outside PET matrix (%d types)", mt, cfg.Matrix.NumMachineTypes())
-		}
-	}
-	if cfg.Slots < 0 {
-		return nil, fmt.Errorf("admission: Slots must be non-negative, got %d", cfg.Slots)
-	}
 	if cfg.Heuristic == "" {
 		cfg.Heuristic = "MCT"
 	}
-	h, isImm, err := sched.ByName(cfg.Heuristic)
+	h, _, err := sched.ByName(cfg.Heuristic)
 	if err != nil {
 		return nil, err
-	}
-	if !isImm {
-		return nil, fmt.Errorf("admission: heuristic %q is batch-mode; admission decides one arrival at a time (use MCT, MET, KPB, RR or OLB)", cfg.Heuristic)
 	}
 	if cfg.Prune.NumTaskTypes == 0 {
 		cfg.Prune.NumTaskTypes = cfg.Matrix.NumTaskTypes()
 	}
-	if err := cfg.Prune.Validate(); err != nil {
+	// A session is one immediate-mode mapping event per arrival, so the
+	// simulator's checks for that mode are the session's checks.
+	if err := sim.Validate(cfg.Matrix, sim.Config{
+		Mode: sim.ImmediateMode, Heuristic: h, MachineTypes: cfg.MachineTypes, Slots: cfg.Slots, Prune: cfg.Prune,
+	}); err != nil {
 		return nil, err
 	}
 

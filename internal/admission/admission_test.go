@@ -8,6 +8,7 @@ import (
 
 	"prunesim/internal/core"
 	"prunesim/internal/pet"
+	"prunesim/internal/sim"
 	"prunesim/internal/task"
 )
 
@@ -51,6 +52,10 @@ func TestNewSessionValidation(t *testing.T) {
 		{"no machines", Config{Matrix: m, MachineTypes: []int{}}},
 		{"negative slots", Config{Matrix: m, Slots: -1}},
 		{"bad prune", Config{Matrix: m, Prune: core.Config{NumTaskTypes: 2, Threshold: 3}}},
+		// The standard matrix has 12 task types; a 5-type pruner would
+		// index past its per-type state on the first type-7 arrival.
+		{"pruner sized for another matrix", Config{Prune: core.DefaultConfig(5)}},
+		{"too many machines", Config{Matrix: m, MachineTypes: make([]int, sim.MaxMachines+1)}},
 	}
 	for _, c := range cases {
 		if _, err := NewSession(c.cfg); err == nil {

@@ -147,7 +147,7 @@ func TestPrunerDisabledNeverPrunes(t *testing.T) {
 	p := New(Disabled(3))
 	p.RecordReactiveDrop(0)
 	p.BeginEvent()
-	if p.ShouldDrop(0.0, 0) || p.ShouldDefer(0.0, 0) {
+	if p.ShouldDropValued(0.0, 0, 1) || p.ShouldDeferValued(0.0, 0, 1) {
 		t.Fatal("disabled pruner made a pruning decision")
 	}
 }
@@ -159,11 +159,11 @@ func TestPrunerReactiveEngagement(t *testing.T) {
 	if p.DroppingEngaged() {
 		t.Fatal("engaged without misses")
 	}
-	if p.ShouldDrop(0.1, 0) {
+	if p.ShouldDropValued(0.1, 0, 1) {
 		t.Fatal("dropped while disengaged")
 	}
 	// Deferring works regardless of the toggle.
-	if !p.ShouldDefer(0.1, 0) {
+	if !p.ShouldDeferValued(0.1, 0, 1) {
 		t.Fatal("defer should apply below threshold")
 	}
 	// A miss engages the next event.
@@ -172,10 +172,10 @@ func TestPrunerReactiveEngagement(t *testing.T) {
 	if !p.DroppingEngaged() {
 		t.Fatal("not engaged after a miss")
 	}
-	if !p.ShouldDrop(0.5, 0) { // chance == threshold is pruned (<=)
+	if !p.ShouldDropValued(0.5, 0, 1) { // chance == threshold is pruned (<=)
 		t.Fatal("should drop at threshold")
 	}
-	if p.ShouldDrop(0.51, 0) {
+	if p.ShouldDropValued(0.51, 0, 1) {
 		t.Fatal("should not drop above threshold")
 	}
 	// Window was consumed: next event disengages again.
@@ -224,7 +224,7 @@ func TestFairnessProtectsSufferedType(t *testing.T) {
 	p.RecordReactiveDrop(0)
 	p.BeginEvent()
 	chance := 0.45 // below base threshold
-	if !p.ShouldDrop(chance, 0) {
+	if !p.ShouldDropValued(chance, 0, 1) {
 		t.Fatal("precondition: chance below base threshold should drop")
 	}
 	// After two drops of type 0 the threshold falls to 0.40 < 0.45.
@@ -232,7 +232,7 @@ func TestFairnessProtectsSufferedType(t *testing.T) {
 	p.RecordProactiveDrop(0)
 	p.RecordReactiveDrop(0)
 	p.BeginEvent()
-	if p.ShouldDrop(chance, 0) {
+	if p.ShouldDropValued(chance, 0, 1) {
 		t.Fatal("suffered type should be protected by fairness offset")
 	}
 }
@@ -242,7 +242,7 @@ func TestDeferRequiresDeferEnabled(t *testing.T) {
 	cfg.DeferEnabled = false
 	p := New(cfg)
 	p.BeginEvent()
-	if p.ShouldDefer(0.1, 0) {
+	if p.ShouldDeferValued(0.1, 0, 1) {
 		t.Fatal("defer decision with deferring disabled")
 	}
 }

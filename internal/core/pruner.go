@@ -238,15 +238,11 @@ func (p *Pruner) EffectiveThreshold(taskType int) float64 {
 	return th
 }
 
-// ShouldDrop implements Figure 5 step 6: with dropping engaged, a
+// ShouldDropValued implements Figure 5 step 6: with dropping engaged, a
 // machine-queued task of type k whose chance of success is at or below
-// beta - gamma_k is dropped. Callers must invoke BeginEvent first.
-func (p *Pruner) ShouldDrop(chance float64, taskType int) bool {
-	return p.ShouldDropValued(chance, taskType, 1)
-}
-
-// ShouldDropValued is ShouldDrop for a task with an explicit value; see
-// Config.ValueAware. A non-positive value is treated as 1.
+// beta - gamma_k (scaled by the task's value under Config.ValueAware) is
+// dropped. A non-positive value is treated as 1. Callers must invoke
+// BeginEvent first.
 func (p *Pruner) ShouldDropValued(chance float64, taskType int, value float64) bool {
 	if !p.cfg.Enabled || !p.engaged {
 		return false
@@ -254,15 +250,11 @@ func (p *Pruner) ShouldDropValued(chance float64, taskType int, value float64) b
 	return chance <= p.valuedThreshold(taskType, value)
 }
 
-// ShouldDefer implements Figure 5 step 10: a batch-queue task mapped by the
-// heuristic is deferred to the next mapping event if its chance of success
-// on the assigned machine is at or below beta - gamma_k.
-func (p *Pruner) ShouldDefer(chance float64, taskType int) bool {
-	return p.ShouldDeferValued(chance, taskType, 1)
-}
-
-// ShouldDeferValued is ShouldDefer for a task with an explicit value; see
-// Config.ValueAware. A non-positive value is treated as 1.
+// ShouldDeferValued implements Figure 5 step 10: a batch-queue task mapped
+// by the heuristic is deferred to the next mapping event if its chance of
+// success on the assigned machine is at or below beta - gamma_k (scaled by
+// the task's value under Config.ValueAware). A non-positive value is
+// treated as 1.
 func (p *Pruner) ShouldDeferValued(chance float64, taskType int, value float64) bool {
 	if !p.cfg.Enabled || !p.cfg.DeferEnabled {
 		return false

@@ -71,7 +71,7 @@ func TestValueAwareDisabledIsNoop(t *testing.T) {
 	p.RecordReactiveDrop(0)
 	p.BeginEvent()
 	for _, v := range []float64{0.5, 1, 2, 10} {
-		if p.ShouldDropValued(0.4, 0, v) != p.ShouldDrop(0.4, 0) {
+		if p.ShouldDropValued(0.4, 0, v) != p.ShouldDropValued(0.4, 0, 1) {
 			t.Fatalf("value %v changed decision with ValueAware off", v)
 		}
 	}

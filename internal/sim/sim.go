@@ -66,6 +66,8 @@ type Config struct {
 	MachineTypes []int
 	// Slots is the pending-queue capacity per machine in batch mode
 	// (paper-style small machine queues; default 2 via DefaultSlots).
+	// Immediate mode ignores it, but a negative value is an error in
+	// both modes.
 	Slots int
 	// Prune is the pruning mechanism configuration.
 	Prune core.Config
@@ -522,11 +524,11 @@ func newSimCore(matrix *pet.Matrix, cfg Config) (*simulator, error) {
 			return nil, fmt.Errorf("sim: machine type %d outside PET matrix (%d types)", mt, matrix.NumMachineTypes())
 		}
 	}
+	if cfg.Slots < 0 {
+		return nil, fmt.Errorf("sim: Slots must be non-negative, got %d", cfg.Slots)
+	}
 	if cfg.Slots == 0 {
 		cfg.Slots = DefaultSlots
-	}
-	if cfg.Mode == BatchMode && cfg.Slots < 1 {
-		return nil, fmt.Errorf("sim: batch mode requires at least one queue slot, got %d", cfg.Slots)
 	}
 	if cfg.Prune.NumTaskTypes == 0 {
 		cfg.Prune.NumTaskTypes = matrix.NumTaskTypes()

@@ -67,6 +67,7 @@ func TestPlatformValidation(t *testing.T) {
 		{Heuristic: "NOPE"},
 		{Heuristic: "MCT"}, // immediate heuristic, batch mode
 		{Heuristic: "MM", Mode: prunesim.ImmediateAllocation}, // batch heuristic, immediate mode
+		{Mode: prunesim.ImmediateAllocation, QueueSlots: -1},
 		{Pruning: prunesim.PruningConfig{NumTaskTypes: 12, Threshold: 7}},
 	}
 	for i, cfg := range cases {
