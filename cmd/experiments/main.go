@@ -71,7 +71,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		printFigure(fr, time.Since(start))
+		printFigure(os.Stdout, fr, time.Since(start))
 		if csvW != nil {
 			if err := experiments.WriteCSV(csvW, fr); err != nil {
 				fatal(err)
@@ -86,18 +86,20 @@ func main() {
 	}
 }
 
-func printFigure(fr *prunesim.FigureResult, elapsed time.Duration) {
-	fmt.Printf("\n=== Figure %s: %s (%s) ===\n", fr.Name, fr.Title, elapsed.Round(time.Millisecond))
-	fmt.Printf("paper shape: %s\n", fr.Expectation)
+// printFigure writes fr to w as a paper-like table, extra metrics in
+// sorted order.
+func printFigure(w io.Writer, fr *prunesim.FigureResult, elapsed time.Duration) {
+	fmt.Fprintf(w, "\n=== Figure %s: %s (%s) ===\n", fr.Name, fr.Title, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "paper shape: %s\n", fr.Expectation)
 	if len(fr.Points) > 0 {
-		fmt.Printf("%d curve points (use -csv to export); preview:\n", len(fr.Points))
+		fmt.Fprintf(w, "%d curve points (use -csv to export); preview:\n", len(fr.Points))
 		step := len(fr.Points) / 10
 		if step == 0 {
 			step = 1
 		}
 		for i := 0; i < len(fr.Points); i += step {
 			p := fr.Points[i]
-			fmt.Printf("  t=%8.1f  rate=%6.3f\n", p.X, p.Y)
+			fmt.Fprintf(w, "  t=%8.1f  rate=%6.3f\n", p.X, p.Y)
 		}
 		return
 	}
@@ -111,13 +113,14 @@ func printFigure(fr *prunesim.FigureResult, elapsed time.Duration) {
 		byX[r.X] = append(byX[r.X], r)
 	}
 	for _, x := range seenX {
-		fmt.Printf("  %s:\n", x)
+		fmt.Fprintf(w, "  %s:\n", x)
 		for _, r := range byX[x] {
-			fmt.Printf("    %-10s %6.2f%% ± %5.2f", r.Series, r.Robustness.Mean, r.Robustness.CI95)
-			for k, v := range r.Extra {
-				fmt.Printf("   %s=%.2f±%.2f", k, v.Mean, v.CI95)
+			fmt.Fprintf(w, "    %-10s %6.2f%% ± %5.2f", r.Series, r.Robustness.Mean, r.Robustness.CI95)
+			for _, k := range experiments.SortedExtraKeys(r) {
+				v := r.Extra[k]
+				fmt.Fprintf(w, "   %s=%.2f±%.2f", k, v.Mean, v.CI95)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 }

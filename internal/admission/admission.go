@@ -296,10 +296,6 @@ func NewSession(cfg Config) (*Session, error) {
 // Config returns the session's (defaulted) configuration.
 func (s *Session) Config() Config { return s.cfg }
 
-// Pruner exposes the session's pruning mechanism (read-only use expected:
-// accounting and fairness state for observability).
-func (s *Session) Pruner() *core.Pruner { return s.pruner }
-
 // Now returns the session clock (the largest time observed so far).
 func (s *Session) Now() float64 { return s.now }
 
@@ -486,7 +482,6 @@ func (s *Session) decideOne(spec TaskSpec, now float64) Decision {
 	if j < 0 {
 		d.Verdict, d.Reason = VerdictDefer, ReasonNoMachine
 		s.counters.Deferred++
-		s.pruner.RecordDeferral(t.Type)
 		s.recycle(t)
 		return d
 	}
@@ -496,7 +491,6 @@ func (s *Session) decideOne(spec TaskSpec, now float64) Decision {
 	case s.pruner.ShouldDeferValued(chance, t.Type, t.Value):
 		d.Verdict, d.Reason = VerdictDefer, ReasonLowChance
 		s.counters.Deferred++
-		s.pruner.RecordDeferral(t.Type)
 		s.recycle(t)
 	case s.pruner.ShouldDropValued(chance, t.Type, t.Value):
 		d.Verdict, d.Reason = VerdictDrop, ReasonLowChance

@@ -327,7 +327,6 @@ func (m *mirror) decide(spec TaskSpec, now float64, id int) Decision {
 	d.Threshold = m.pruner.ValuedThreshold(tk.Type, tk.Value)
 	if j < 0 {
 		d.Verdict, d.Reason = VerdictDefer, ReasonNoMachine
-		m.pruner.RecordDeferral(tk.Type)
 		return d
 	}
 	chance := m.machines[j].ChanceIfEnqueued(tk.Type, tk.Deadline, now)
@@ -335,7 +334,6 @@ func (m *mirror) decide(spec TaskSpec, now float64, id int) Decision {
 	switch {
 	case m.pruner.ShouldDeferValued(chance, tk.Type, tk.Value):
 		d.Verdict, d.Reason = VerdictDefer, ReasonLowChance
-		m.pruner.RecordDeferral(tk.Type)
 	case m.pruner.ShouldDropValued(chance, tk.Type, tk.Value):
 		d.Verdict, d.Reason = VerdictDrop, ReasonLowChance
 		m.pruner.RecordProactiveDrop(tk.Type)

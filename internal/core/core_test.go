@@ -53,23 +53,29 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 	New(Config{})
 }
 
+// TestToggleModes: BeginEvent engages dropping per the configured mode
+// and alpha from the misses recorded since the previous event, and never
+// with pruning disabled.
 func TestToggleModes(t *testing.T) {
-	never := NewToggle(ToggleNever, 1)
-	always := NewToggle(ToggleAlways, 1)
-	reactive := NewToggle(ToggleReactive, 2)
-	for _, misses := range []int{0, 1, 5} {
-		if never.Engaged(misses) {
-			t.Errorf("never engaged at %d misses", misses)
+	for _, mode := range []ToggleMode{ToggleNever, ToggleAlways, ToggleReactive} {
+		for _, alpha := range []int{1, 2, 3} {
+			for misses := 0; misses <= 5; misses++ {
+				for _, enabled := range []bool{false, true} {
+					cfg := DefaultConfig(2)
+					cfg.Enabled, cfg.DropMode, cfg.DropAlpha = enabled, mode, alpha
+					p := New(cfg)
+					for i := 0; i < misses; i++ {
+						p.RecordReactiveDrop(i % 2)
+					}
+					p.BeginEvent()
+					want := enabled && (mode == ToggleAlways || mode == ToggleReactive && misses >= alpha)
+					if got := p.DroppingEngaged(); got != want {
+						t.Errorf("%v alpha=%d misses=%d enabled=%v: engaged=%v, want %v",
+							mode, alpha, misses, enabled, got, want)
+					}
+				}
+			}
 		}
-		if !always.Engaged(misses) {
-			t.Errorf("always not engaged at %d misses", misses)
-		}
-	}
-	if reactive.Engaged(1) {
-		t.Error("reactive(alpha=2) engaged below alpha")
-	}
-	if !reactive.Engaged(2) || !reactive.Engaged(7) {
-		t.Error("reactive(alpha=2) not engaged at/above alpha")
 	}
 }
 
@@ -81,65 +87,67 @@ func TestToggleModeString(t *testing.T) {
 }
 
 func TestFairnessScores(t *testing.T) {
-	f := NewFairness(3, 0.05)
-	f.OnDropped(1)
-	f.OnDropped(1)
-	if got := f.Score(1); math.Abs(got-0.10) > 1e-12 {
-		t.Fatalf("score after two drops = %v, want 0.10", got)
+	p := New(DefaultConfig(3))
+	p.RecordProactiveDrop(1)
+	p.RecordProactiveDrop(1)
+	if got := p.EffectiveThreshold(1); math.Abs(got-0.40) > 1e-12 {
+		t.Fatalf("threshold after two drops = %v, want 0.40", got)
 	}
-	f.OnCompletedOnTime(1)
-	if got := f.Score(1); math.Abs(got-0.05) > 1e-12 {
-		t.Fatalf("score after completion = %v, want 0.05", got)
+	p.RecordCompletion(1, true)
+	if got := p.EffectiveThreshold(1); math.Abs(got-0.45) > 1e-12 {
+		t.Fatalf("threshold after completion = %v, want 0.45", got)
 	}
-	if f.Score(0) != 0 || f.Score(2) != 0 {
+	p.RecordCompletion(1, false) // late completions leave the score alone
+	if got := p.EffectiveThreshold(1); math.Abs(got-0.45) > 1e-12 {
+		t.Fatalf("threshold after late completion = %v, want 0.45", got)
+	}
+	if p.EffectiveThreshold(0) != 0.5 || p.EffectiveThreshold(2) != 0.5 {
 		t.Fatal("unrelated types perturbed")
 	}
 }
 
+// TestFairnessClampsAtZero: sustained on-time completions stop lowering the
+// score at zero, so the threshold stays at beta and the next drop raises
+// the score from zero.
 func TestFairnessClampsAtZero(t *testing.T) {
-	f := NewFairness(1, 0.05)
+	p := New(DefaultConfig(1))
 	for i := 0; i < 100; i++ {
-		f.OnCompletedOnTime(0)
+		p.RecordCompletion(0, true)
 	}
-	if f.Score(0) != 0 {
-		t.Fatalf("score = %v, want clamped 0", f.Score(0))
+	if got := p.EffectiveThreshold(0); got != 0.5 {
+		t.Fatalf("threshold = %v, want 0.5 (score clamped at 0)", got)
 	}
-}
-
-func TestFairnessValidation(t *testing.T) {
-	for i, f := range []func(){
-		func() { NewFairness(0, 0.05) },
-		func() { NewFairness(3, -0.01) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
+	p.RecordProactiveDrop(0)
+	if got := p.EffectiveThreshold(0); math.Abs(got-0.45) > 1e-12 {
+		t.Fatalf("threshold after a drop = %v, want 0.45", got)
 	}
 }
 
-func TestAccountingWindows(t *testing.T) {
-	a := NewAccounting(2)
-	a.RecordCompletion(0, true)
-	a.RecordCompletion(0, false) // late -> miss
-	a.RecordReactiveDrop(1)      // miss
-	a.RecordProactiveDrop(1)     // not a miss
-	if got := a.MissesSinceEvent(); got != 2 {
-		t.Fatalf("misses = %d, want 2", got)
+// TestMissWindow: late completions and reactive drops count towards the
+// Toggle's window; on-time completions and proactive drops do not; and
+// BeginEvent resets it.
+func TestMissWindow(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.DropAlpha = 2
+	p := New(cfg)
+	p.RecordCompletion(0, false)
+	p.RecordReactiveDrop(1)
+	p.BeginEvent()
+	if !p.DroppingEngaged() {
+		t.Fatal("a late completion and a reactive drop should reach alpha=2")
 	}
-	a.ResetEventWindow()
-	if a.MissesSinceEvent() != 0 {
-		t.Fatal("window did not reset")
+	p.BeginEvent()
+	if p.DroppingEngaged() {
+		t.Fatal("BeginEvent did not reset the window")
 	}
-	if a.OnTime()[0] != 1 || a.Late()[0] != 1 || a.ReactiveDrops()[1] != 1 || a.ProactiveDrops()[1] != 1 {
-		t.Fatal("counters wrong")
-	}
-	if a.TotalDropped(1) != 2 {
-		t.Fatalf("TotalDropped = %d, want 2", a.TotalDropped(1))
+	p.RecordCompletion(0, false)
+	p.RecordCompletion(0, true)
+	p.RecordCompletion(1, true)
+	p.RecordProactiveDrop(1)
+	p.RecordProactiveDrop(1)
+	p.BeginEvent()
+	if p.DroppingEngaged() {
+		t.Fatal("on-time completions or proactive drops counted as misses")
 	}
 }
 

@@ -10,12 +10,12 @@
 //     module), evict machine-queued tasks whose chance of success is below
 //     the threshold, raising the chance of the tasks behind them.
 //
-// The Fairness module biases the threshold per task type with a "sufferage"
-// score so the pruner does not systematically starve long task types, and
-// the Accounting module gathers the completion/drop/miss telemetry the other
-// modules consume. The file structure mirrors the paper's architecture:
-// toggle.go, fairness.go and accounting.go hold the three support modules;
-// this file holds the Pruner that composes them.
+// Figure 4's support modules are not separate types: the Pruner keeps the
+// only state their decisions read. The Toggle is the deadline-miss count
+// since the previous mapping event, and the Fairness module is one
+// "sufferage" score per task type that biases the threshold so the pruner
+// does not systematically starve long task types. toggle.go holds the
+// Toggle's engagement policies; this file holds the Pruner.
 package core
 
 import (
@@ -59,7 +59,7 @@ type Config struct {
 	// ValueRef is the reference (typical) task value the scaling is
 	// centred on; zero defaults to 1.
 	ValueRef float64
-	// NumTaskTypes sizes the per-type fairness and accounting tables.
+	// NumTaskTypes sizes the per-type sufferage scores.
 	NumTaskTypes int
 }
 
@@ -101,14 +101,31 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Pruner composes the Toggle, Fairness and Accounting modules into the
-// pruning mechanism of Figure 4. The simulator drives it with the Record*
-// telemetry callbacks and queries Should* at each mapping event.
+// Pruner is the pruning mechanism of Figure 4. The simulator drives it with
+// the Record* telemetry callbacks and queries Should* at each mapping event.
 type Pruner struct {
-	cfg  Config
-	tog  *Toggle
-	fair *Fairness
-	acct *Accounting
+	cfg Config
+
+	// misses counts the deadline misses (late completions plus reactive
+	// drops) since the previous mapping event: the Toggle's input.
+	// Proactive drops are a scheduling decision, not an observed miss, so
+	// they do not count (a toggle fed by its own drops would never
+	// disengage).
+	misses int
+	// scores holds the Fairness module's sufferage score gamma_k per task
+	// type (Section IV-D). Dropping a task of type k raises gamma_k by the
+	// fairness factor c; completing one on time lowers it by c. A high
+	// score shrinks the effective threshold beta - gamma_k, so a type that
+	// has been pruned repeatedly becomes harder to prune again.
+	//
+	// Scores are clamped at zero from below: the paper's pseudo-code
+	// (Figure 5) lets gamma go negative on sustained on-time completions,
+	// but an unbounded negative score would inflate the effective threshold
+	// of well-served types without limit and eventually prune everything;
+	// clamping preserves the stated intent ("keep track of the suffered
+	// task types ... avoid biasness against them") while keeping the
+	// mechanism stable over long runs.
+	scores []float64
 
 	engaged bool // dropping engaged for the current mapping event
 
@@ -127,12 +144,7 @@ func New(cfg Config) *Pruner {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &Pruner{
-		cfg:  cfg,
-		tog:  NewToggle(cfg.DropMode, cfg.DropAlpha),
-		fair: NewFairness(cfg.NumTaskTypes, cfg.FairnessFactor),
-		acct: NewAccounting(cfg.NumTaskTypes),
-	}
+	p := &Pruner{cfg: cfg, scores: make([]float64, cfg.NumTaskTypes)}
 	p.lowChance = func(e machine.Entry) bool {
 		return p.ShouldDropValued(e.PCT.ProbLE(e.Task.Deadline), e.Task.Type, e.Task.Value)
 	}
@@ -142,16 +154,20 @@ func New(cfg Config) *Pruner {
 // Config returns the active configuration.
 func (p *Pruner) Config() Config { return p.cfg }
 
-// Fairness exposes the fairness module (read-only use expected).
-func (p *Pruner) Fairness() *Fairness { return p.fair }
-
 // BeginEvent starts a mapping event (Figure 5 preamble): it consults the
 // Toggle with the deadline misses observed since the previous event and
 // latches whether dropping is engaged for this event, then resets the
 // per-event miss counter.
 func (p *Pruner) BeginEvent() {
-	p.engaged = p.cfg.Enabled && p.tog.Engaged(p.acct.MissesSinceEvent())
-	p.acct.ResetEventWindow()
+	switch p.cfg.DropMode {
+	case ToggleAlways:
+		p.engaged = p.cfg.Enabled
+	case ToggleReactive:
+		p.engaged = p.cfg.Enabled && p.misses >= p.cfg.DropAlpha
+	default:
+		p.engaged = false
+	}
+	p.misses = 0
 }
 
 // Sweep runs Figure 5 steps 1-6 over the machine queues ms at time now:
@@ -159,7 +175,7 @@ func (p *Pruner) BeginEvent() {
 // (BeginEvent), and — with dropping engaged — the proactive sweep of tasks
 // whose chance of success is at or below their threshold. Each dropped
 // task gets its terminal status (StatusDroppedReactive or
-// StatusDroppedProactive) and its accounting before evict is called with
+// StatusDroppedProactive) and is recorded before evict is called with
 // it and the index of its machine in ms; evict must retire the task, which
 // is no longer referenced by any queue.
 //
@@ -198,37 +214,34 @@ func (p *Pruner) Sweep(ms []*machine.Machine, now float64, evict func(t *task.Ta
 // current mapping event (latched by BeginEvent).
 func (p *Pruner) DroppingEngaged() bool { return p.engaged }
 
-// RecordCompletion feeds a finished task into Accounting and Fairness
-// (Figure 5 step 2): an on-time completion of type k lowers the type's
-// sufferage score; a late completion counts as a deadline miss for the
-// Toggle.
+// RecordCompletion records a finished task (Figure 5 step 2): an on-time
+// completion of type k lowers the type's sufferage score, clamped at zero;
+// a late completion counts as a deadline miss for the Toggle.
 func (p *Pruner) RecordCompletion(taskType int, onTime bool) {
-	p.acct.RecordCompletion(taskType, onTime)
-	if onTime {
-		p.fair.OnCompletedOnTime(taskType)
+	if !onTime {
+		p.misses++
+		return
+	}
+	p.scores[taskType] -= p.cfg.FairnessFactor
+	if p.scores[taskType] < 0 {
+		p.scores[taskType] = 0
 	}
 }
 
-// RecordReactiveDrop feeds a deadline-miss drop into Accounting; reactive
-// misses are what the reactive Toggle reacts to.
-func (p *Pruner) RecordReactiveDrop(taskType int) {
-	p.acct.RecordReactiveDrop(taskType)
-}
+// RecordReactiveDrop records a deadline-miss drop; reactive misses are what
+// the reactive Toggle reacts to.
+func (p *Pruner) RecordReactiveDrop(int) { p.misses++ }
 
-// RecordProactiveDrop feeds a probabilistic drop into Accounting and raises
-// the type's sufferage score (Figure 5 step 6).
+// RecordProactiveDrop records a probabilistic drop by raising the type's
+// sufferage score (Figure 5 step 6).
 func (p *Pruner) RecordProactiveDrop(taskType int) {
-	p.acct.RecordProactiveDrop(taskType)
-	p.fair.OnDropped(taskType)
+	p.scores[taskType] += p.cfg.FairnessFactor
 }
-
-// RecordDeferral counts a deferring decision.
-func (p *Pruner) RecordDeferral(taskType int) { p.acct.RecordDeferral(taskType) }
 
 // EffectiveThreshold returns the fairness-adjusted pruning threshold
 // beta - gamma_k for task type k, clamped to [0, 1].
 func (p *Pruner) EffectiveThreshold(taskType int) float64 {
-	th := p.cfg.Threshold - p.fair.Score(taskType)
+	th := p.cfg.Threshold - p.scores[taskType]
 	if th < 0 {
 		return 0
 	}

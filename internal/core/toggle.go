@@ -30,35 +30,3 @@ func (m ToggleMode) String() string {
 		return "unknown"
 	}
 }
-
-// Toggle measures the oversubscription level of the system and decides
-// whether the aggressive pruning operation — task dropping — has to be
-// engaged (Figure 4). The current policy, like the paper's implementation,
-// counts the tasks that missed their deadlines since the previous mapping
-// event and engages dropping when the count reaches the configurable
-// Dropping Toggle (alpha).
-type Toggle struct {
-	mode  ToggleMode
-	alpha int
-}
-
-// NewToggle constructs a Toggle. Alpha is only meaningful in reactive mode.
-func NewToggle(mode ToggleMode, alpha int) *Toggle {
-	return &Toggle{mode: mode, alpha: alpha}
-}
-
-// Mode returns the engagement policy.
-func (t *Toggle) Mode() ToggleMode { return t.mode }
-
-// Engaged reports whether dropping engages for a mapping event preceded by
-// the given number of deadline misses.
-func (t *Toggle) Engaged(missesSinceEvent int) bool {
-	switch t.mode {
-	case ToggleAlways:
-		return true
-	case ToggleReactive:
-		return missesSinceEvent >= t.alpha
-	default:
-		return false
-	}
-}

@@ -37,7 +37,7 @@ func WriteCSV(w *csv.Writer, fr *FigureResult) error {
 			strconv.FormatFloat(r.Robustness.CI95, 'f', 3, 64), "robustness_pct"}); err != nil {
 			return fmt.Errorf("experiments: %w", err)
 		}
-		for _, k := range sortedExtraKeys(r) {
+		for _, k := range SortedExtraKeys(r) {
 			v := r.Extra[k]
 			if err := w.Write([]string{fr.Name, r.Series, r.X,
 				strconv.FormatFloat(v.Mean, 'f', 3, 64),
@@ -116,8 +116,9 @@ func WriteMarkdown(w io.Writer, fr *FigureResult) error {
 	return nil
 }
 
-// sortedExtraKeys returns a row's extra-metric names in stable order.
-func sortedExtraKeys(r Row) []string {
+// SortedExtraKeys returns a row's extra-metric names in the sorted order
+// every writer prints them in.
+func SortedExtraKeys(r Row) []string {
 	keys := make([]string, 0, len(r.Extra))
 	for k := range r.Extra {
 		keys = append(keys, k)

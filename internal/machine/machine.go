@@ -600,10 +600,12 @@ func (m *Machine) DropPending(now float64, shouldDrop func(e Entry) bool, dst []
 }
 
 // RefreshPCTs recomputes the pending PCTs anchored at time now. Mapping
-// events call this before chance-of-success queries so estimates reflect the
-// machine's actual progress. The work is incremental: when the anchor at
-// now is identical to the one the chain was built on, only entries past the
-// valid prefix are reconvolved — often none at all.
+// events do not call it: the queries they make (ChanceIfEnqueued,
+// DropPending) repair the chain themselves. Tests and
+// BenchmarkMachineRefreshPCTs use it to anchor the chain at an exact time.
+// The work is incremental: when the anchor at now is identical to the one
+// the chain was built on, only entries past the valid prefix are
+// reconvolved — often none at all.
 func (m *Machine) RefreshPCTs(now float64) {
 	key := m.anchorKeyAt(now)
 	if key == m.chainKey && m.validTo == len(m.pending) {

@@ -1,20 +1,17 @@
 package service
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Metrics aggregates the service's operational counters. All fields are
 // atomics, so the hot paths (submit, worker loop, per-trial progress) never
-// contend on a lock. Rendered two ways: Prometheus text exposition on
-// GET /metrics and an expvar JSON object (Metrics implements expvar.Var).
+// contend on a lock. Rendered as Prometheus text exposition on
+// GET /metrics.
 type Metrics struct {
 	start time.Time
 
@@ -233,64 +230,4 @@ func (m *Metrics) WritePrometheus(w io.Writer, queueDepth, sessionsActive int) {
 	m.RunDuration.writePrometheus(w)
 	m.TrialDuration.writePrometheus(w)
 	m.DecideLatency.writePrometheus(w)
-}
-
-// snapshotMap renders the counters as one map (the expvar JSON payload).
-func (m *Metrics) snapshotMap() map[string]any {
-	return map[string]any{
-		"jobs_submitted":    m.JobsSubmitted.Load(),
-		"jobs_rejected":     m.JobsRejected.Load(),
-		"rate_limited":      m.RateLimited.Load(),
-		"inflight_rejected": m.InflightRejected.Load(),
-		"unauthorized":      m.Unauthorized.Load(),
-		"jobs_queued":       m.JobsQueued.Load(),
-		"jobs_running":      m.JobsRunning.Load(),
-		"jobs_done":         m.JobsDone.Load(),
-		"jobs_failed":       m.JobsFailed.Load(),
-		"cache_hits":        m.CacheHits.Load(),
-		"engine_runs":       m.EngineRuns.Load(),
-		"trials_done":       m.TrialsDone.Load(),
-		"trials_per_sec":    m.TrialsPerSec(),
-
-		"sessions_created":   m.SessionsCreated.Load(),
-		"sessions_expired":   m.SessionsExpired.Load(),
-		"decisions":          m.Decisions.Load(),
-		"decisions_accepted": m.DecisionsAccepted.Load(),
-		"decisions_deferred": m.DecisionsDeferred.Load(),
-		"decisions_dropped":  m.DecisionsDropped.Load(),
-		"completions":        m.Completions.Load(),
-		"stale_completions":  m.StaleCompletions.Load(),
-	}
-}
-
-// String implements expvar.Var: the counters as one JSON object.
-func (m *Metrics) String() string {
-	data, _ := json.Marshal(m.snapshotMap())
-	return string(data)
-}
-
-// currentMetrics is the Metrics instance behind the process-wide expvar
-// "prunesimd" variable; publishOnce guards the one-time expvar.Publish
-// (expvar panics on duplicate names).
-var (
-	currentMetrics atomic.Pointer[Metrics]
-	publishOnce    sync.Once
-)
-
-// publishExpvar exposes m as the expvar "prunesimd" variable. The
-// published var delegates through currentMetrics, so the latest-created
-// server owns the name — a second server in one process (tests, embedders
-// running blue/green instances) replaces the delegate instead of silently
-// exporting the first server's dead counters.
-func publishExpvar(m *Metrics) {
-	currentMetrics.Store(m)
-	publishOnce.Do(func() {
-		expvar.Publish("prunesimd", expvar.Func(func() any {
-			cur := currentMetrics.Load()
-			if cur == nil {
-				return map[string]any{}
-			}
-			return cur.snapshotMap()
-		}))
-	})
 }

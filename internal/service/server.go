@@ -229,7 +229,6 @@ func New(cfg Config) *Server {
 			Trials:      sc.Run.Trials,
 		}
 	}
-	publishExpvar(s.metrics)
 	s.startWorkers(workers)
 	return s
 }

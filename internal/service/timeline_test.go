@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -221,43 +220,5 @@ func TestTimelineUnknownJob(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job timeline status %d", resp.StatusCode)
-	}
-}
-
-// TestExpvarDelegatesToCurrentServer: the process-wide expvar "prunesimd"
-// must track the most recently created server, not the first one — a
-// second server in one process previously exported the wrong metrics
-// forever.
-func TestExpvarDelegatesToCurrentServer(t *testing.T) {
-	s1 := New(Config{Workers: -1})
-	defer s1.Close()
-	s1.metrics.JobsSubmitted.Add(7)
-
-	s2 := New(Config{Workers: -1})
-	defer s2.Close()
-	s2.metrics.JobsSubmitted.Add(2)
-
-	v := expvar.Get("prunesimd")
-	if v == nil {
-		t.Fatal("expvar prunesimd not published")
-	}
-	var got map[string]any
-	if err := json.Unmarshal([]byte(v.String()), &got); err != nil {
-		t.Fatalf("expvar payload %q: %v", v.String(), err)
-	}
-	if n, _ := got["jobs_submitted"].(float64); n != 2 {
-		t.Fatalf("expvar jobs_submitted = %v, want 2 (the current server's count, not %d)",
-			got["jobs_submitted"], s1.metrics.JobsSubmitted.Load())
-	}
-
-	// A third server takes the name over in turn.
-	s3 := New(Config{Workers: -1})
-	defer s3.Close()
-	s3.metrics.JobsSubmitted.Add(5)
-	if err := json.Unmarshal([]byte(expvar.Get("prunesimd").String()), &got); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := got["jobs_submitted"].(float64); n != 5 {
-		t.Fatalf("expvar did not follow the newest server: %v", got["jobs_submitted"])
 	}
 }

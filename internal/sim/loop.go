@@ -29,8 +29,8 @@ func (s *simulator) emitChance(kind TraceKind, t *task.Task, mach int, onTime bo
 	})
 }
 
-// handleCompletion finishes the running task on machine j and feeds the
-// pruner's accounting.
+// handleCompletion finishes the running task on machine j and records it in
+// the pruner.
 func (s *simulator) handleCompletion(j int) {
 	m := s.machines[j]
 	t := m.Complete(s.now)
@@ -159,7 +159,6 @@ func (s *simulator) batchMap() {
 			if s.pruner.ShouldDeferValued(chance, a.Task.Type, a.Task.Value) {
 				a.Task.Deferrals++
 				s.res.Deferrals++
-				s.pruner.RecordDeferral(a.Task.Type)
 				s.emitChance(TraceDeferred, a.Task, a.Machine, false, chance)
 				continue
 			}

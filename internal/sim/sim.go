@@ -502,30 +502,31 @@ type stretchKey struct {
 // but the ExcludeBoundary's fit to the task total, which a stream learns
 // only when it drains.
 func Validate(matrix *pet.Matrix, cfg Config) error {
-	_, err := newSimCore(matrix, cfg)
+	_, err := checkConfig(matrix, cfg)
 	return err
 }
 
-// newSimCore validates cfg and builds the machine set, heuristic wiring
-// and pruner. Whether ExcludeBoundary fits the task total is checked by
-// the callers: a stream's total is known only at the end of the trial.
-func newSimCore(matrix *pet.Matrix, cfg Config) (*simulator, error) {
+// checkConfig validates cfg over matrix and returns it with its defaults
+// filled in (Slots, Prune.NumTaskTypes). Whether ExcludeBoundary fits the
+// task total is checked by the callers: a stream's total is known only at
+// the end of the trial.
+func checkConfig(matrix *pet.Matrix, cfg Config) (Config, error) {
 	if matrix == nil {
-		return nil, fmt.Errorf("sim: nil PET matrix")
+		return cfg, fmt.Errorf("sim: nil PET matrix")
 	}
 	if cfg.ExcludeBoundary < 0 {
-		return nil, fmt.Errorf("sim: ExcludeBoundary %d must be non-negative", cfg.ExcludeBoundary)
+		return cfg, fmt.Errorf("sim: ExcludeBoundary %d must be non-negative", cfg.ExcludeBoundary)
 	}
 	if len(cfg.MachineTypes) == 0 {
-		return nil, fmt.Errorf("sim: no machines configured")
+		return cfg, fmt.Errorf("sim: no machines configured")
 	}
 	for _, mt := range cfg.MachineTypes {
 		if mt < 0 || mt >= matrix.NumMachineTypes() {
-			return nil, fmt.Errorf("sim: machine type %d outside PET matrix (%d types)", mt, matrix.NumMachineTypes())
+			return cfg, fmt.Errorf("sim: machine type %d outside PET matrix (%d types)", mt, matrix.NumMachineTypes())
 		}
 	}
 	if cfg.Slots < 0 {
-		return nil, fmt.Errorf("sim: Slots must be non-negative, got %d", cfg.Slots)
+		return cfg, fmt.Errorf("sim: Slots must be non-negative, got %d", cfg.Slots)
 	}
 	if cfg.Slots == 0 {
 		cfg.Slots = DefaultSlots
@@ -534,32 +535,45 @@ func newSimCore(matrix *pet.Matrix, cfg Config) (*simulator, error) {
 		cfg.Prune.NumTaskTypes = matrix.NumTaskTypes()
 	}
 	if cfg.Prune.NumTaskTypes != matrix.NumTaskTypes() {
-		return nil, fmt.Errorf("sim: pruner sized for %d task types, matrix has %d",
+		return cfg, fmt.Errorf("sim: pruner sized for %d task types, matrix has %d",
 			cfg.Prune.NumTaskTypes, matrix.NumTaskTypes())
 	}
 	if err := cfg.Prune.Validate(); err != nil {
-		return nil, err
+		return cfg, err
 	}
 	if cfg.TailEps < 0 || cfg.TailEps >= 1 || math.IsNaN(cfg.TailEps) {
-		return nil, fmt.Errorf("sim: TailEps %v out of range [0, 1)", cfg.TailEps)
+		return cfg, fmt.Errorf("sim: TailEps %v out of range [0, 1)", cfg.TailEps)
 	}
 	if err := ValidateEvents(len(cfg.MachineTypes), matrix.NumMachineTypes(), cfg.Events); err != nil {
-		return nil, err
+		return cfg, err
 	}
-	s := &simulator{matrix: matrix, cfg: cfg, pruner: core.New(cfg.Prune), durRNG: randx.New(0)}
 	switch h := cfg.Heuristic.(type) {
 	case sched.Immediate:
 		if cfg.Mode != ImmediateMode {
-			return nil, fmt.Errorf("sim: immediate heuristic %s with batch mode", h.Name())
+			return cfg, fmt.Errorf("sim: immediate heuristic %s with batch mode", h.Name())
 		}
-		s.imm = h
 	case sched.Batch:
 		if cfg.Mode != BatchMode {
-			return nil, fmt.Errorf("sim: batch heuristic %s with immediate mode", h.Name())
+			return cfg, fmt.Errorf("sim: batch heuristic %s with immediate mode", h.Name())
 		}
-		s.bat = h
 	default:
-		return nil, fmt.Errorf("sim: heuristic must be sched.Immediate or sched.Batch, got %T", cfg.Heuristic)
+		return cfg, fmt.Errorf("sim: heuristic must be sched.Immediate or sched.Batch, got %T", cfg.Heuristic)
+	}
+	return cfg, nil
+}
+
+// newSimCore validates cfg and builds the machine set, heuristic wiring
+// and pruner.
+func newSimCore(matrix *pet.Matrix, cfg Config) (*simulator, error) {
+	cfg, err := checkConfig(matrix, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := &simulator{matrix: matrix, cfg: cfg, pruner: core.New(cfg.Prune), durRNG: randx.New(0)}
+	if cfg.Mode == ImmediateMode {
+		s.imm = cfg.Heuristic.(sched.Immediate)
+	} else {
+		s.bat = cfg.Heuristic.(sched.Batch)
 	}
 	s.machines = make([]*machine.Machine, len(cfg.MachineTypes))
 	for j, mt := range cfg.MachineTypes {

@@ -90,6 +90,18 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestValidateAllocatesNothing: Validate only checks the configuration; it
+// builds no machines, pruner or tallies.
+func TestValidateAllocatesNothing(t *testing.T) {
+	cfg := batchCfg(sched.NewMM(), core.DefaultConfig(12))
+	if err := Validate(hcMatrix, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { _ = Validate(hcMatrix, cfg) }); allocs != 0 {
+		t.Fatalf("Validate allocates %v per call, want 0", allocs)
+	}
+}
+
 func TestConservationAllHeuristics(t *testing.T) {
 	tasks := func() []*task.Task { return smallWorkload(2500, 1) }
 	homTasks := func() []*task.Task { return smallHomWorkload(2500, 1) }
