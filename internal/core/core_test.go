@@ -33,6 +33,12 @@ func TestConfigValidate(t *testing.T) {
 		{NumTaskTypes: 3, FairnessFactor: -1},
 		{NumTaskTypes: 3, DropMode: ToggleMode(9)},
 		{NumTaskTypes: 3, DropMode: ToggleReactive, DropAlpha: 0},
+		{NumTaskTypes: 3, Threshold: math.NaN()},
+		{NumTaskTypes: 3, FairnessFactor: math.NaN()},
+		{NumTaskTypes: 3, FairnessFactor: math.Inf(1)},
+		{NumTaskTypes: 3, ValueAware: true, ValueRef: math.NaN()},
+		{NumTaskTypes: 3, ValueAware: true, ValueRef: math.Inf(1)},
+		{NumTaskTypes: 3, ValueAware: true, ValueRef: math.Inf(-1)},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"prunesim/internal/machine"
 	"prunesim/internal/task"
@@ -84,15 +85,20 @@ func Disabled(numTaskTypes int) Config {
 	return Config{Enabled: false, DropMode: ToggleNever, NumTaskTypes: numTaskTypes}
 }
 
-// Validate reports whether the configuration is self-consistent.
+// Validate reports whether the configuration is self-consistent. The
+// comparisons are written so that NaN fails them: a NaN threshold or
+// factor would otherwise pass every range check and then make every
+// chance comparison false.
 func (c Config) Validate() error {
 	switch {
 	case c.NumTaskTypes <= 0:
 		return fmt.Errorf("core: NumTaskTypes must be positive, got %d", c.NumTaskTypes)
-	case c.Threshold < 0 || c.Threshold > 1:
+	case !(c.Threshold >= 0 && c.Threshold <= 1):
 		return fmt.Errorf("core: Threshold must be in [0,1], got %v", c.Threshold)
-	case c.FairnessFactor < 0:
-		return fmt.Errorf("core: FairnessFactor must be non-negative, got %v", c.FairnessFactor)
+	case !(c.FairnessFactor >= 0) || math.IsInf(c.FairnessFactor, 1):
+		return fmt.Errorf("core: FairnessFactor must be non-negative and finite, got %v", c.FairnessFactor)
+	case math.IsNaN(c.ValueRef) || math.IsInf(c.ValueRef, 0):
+		return fmt.Errorf("core: ValueRef must be finite, got %v", c.ValueRef)
 	case c.DropMode > ToggleReactive:
 		return fmt.Errorf("core: unknown DropMode %d", c.DropMode)
 	case c.DropMode == ToggleReactive && c.DropAlpha < 1:

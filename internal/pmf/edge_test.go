@@ -161,3 +161,37 @@ func TestConvolveDefaultCapBoundsSupport(t *testing.T) {
 		t.Fatalf("mass = %v, want 1", c.TotalMass())
 	}
 }
+
+// TestNewRejectsNonFiniteInput: New admits only finite masses and at
+// least one bin, so every PMF the kernel sees has both. An infinite mass used to normalize to a
+// NaN bin (New(0, 1, {Inf, 1}, 0) gave p=[NaN] and a NaN ProbLE), and an
+// infinite tail to a NaN tail.
+func TestNewRejectsNonFiniteInput(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name   string
+		width  float64
+		masses []float64
+		tail   float64
+	}{
+		{"NaN mass", 1, []float64{nan, 1}, 0},
+		{"+Inf mass", 1, []float64{inf, 1}, 0},
+		{"-Inf mass", 1, []float64{math.Inf(-1), 1}, 0},
+		{"+Inf tail", 1, []float64{1}, inf},
+		{"NaN tail", 1, []float64{1}, nan},
+		{"total overflows", 1, []float64{math.MaxFloat64, math.MaxFloat64}, 0},
+		{"NaN width", nan, []float64{1}, 0},
+		{"+Inf width", inf, []float64{1}, 0},
+		{"no bins", 1, nil, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(0, %v, %v, %v) did not panic", tc.width, tc.masses, tc.tail)
+				}
+			}()
+			New(0, tc.width, tc.masses, tc.tail)
+		})
+	}
+}

@@ -42,6 +42,14 @@ func ConvolveInto(dst, a, b *PMF) *PMF {
 
 // ConvolveMaxInto is ConvolveInto with an explicit cap on the number of
 // result bins; overflow folds into the tail bucket.
+//
+// Bin k of the result adds a[i]·b[k−i] in ascending i, each product
+// rounded to float64 before the add; products past the cap fold into the
+// tail row by row, i ascending and then j ascending (DESIGN.md, "The
+// in-place PMF kernel"). The outer loop runs over the shorter operand,
+// and both orders keep that per-bin sequence. Both operands must hold at
+// least one bin and finite masses, as every constructor guarantees:
+// skipping a zero row or column then only skips adds of +0.
 func ConvolveMaxInto(dst, a, b *PMF, maxBins int) *PMF {
 	if a.width != b.width {
 		panic("pmf: Convolve requires equal bin widths")
@@ -55,39 +63,52 @@ func ConvolveMaxInto(dst, a, b *PMF, maxBins int) *PMF {
 	if dst == nil {
 		dst = &PMF{}
 	}
-	n := len(a.p) + len(b.p) - 1
-	keep := n
-	if keep > maxBins {
-		keep = maxBins
-	}
+	ap, bp := a.p, b.p
+	n := len(ap) + len(bp) - 1
+	keep := min(n, maxBins)
 	out := resize(dst.p, keep)
-	for i := range out {
-		out[i] = 0
+	// The float64 conversions round every product before its add, so no
+	// architecture may fuse the multiply-add (Go fuses x*y+z on arm64).
+	if len(ap) <= len(bp) {
+		// Rows of a, ascending: bin k meets row i before row i+1. Row 0
+		// stores 0+a[0]·b[j], which is what adding it to a cleared bin
+		// gives, so only the bins past its reach need clearing.
+		a0 := ap[0]
+		bs := bp[:min(len(bp), keep)]
+		row := out[:len(bs)]
+		for j, bv := range bs {
+			row[j] = 0 + float64(a0*bv)
+		}
+		if len(row) < len(out) {
+			clear(out[len(row):])
+		}
+		for i, av := range ap[:min(len(ap), keep)] {
+			if i > 0 && av != 0 {
+				addScaled(out[i:], bp, av)
+			}
+		}
+	} else {
+		clear(out)
+		// Columns of b, last to first, two per pass: bin k takes column
+		// j's product before column j−1's, so as j falls it meets rows
+		// k−j in ascending order, the same sequence as the row loop.
+		j := min(len(bp), keep) - 1
+		for ; j >= 1; j -= 2 {
+			addColumnPair(out[j-1:], ap, bp[j], bp[j-1])
+		}
+		if j == 0 {
+			addScaled(out, ap, bp[0]) // the odd column left over
+		}
 	}
-	tail := a.tail + b.tail - a.tail*b.tail
-	for i, av := range a.p {
+	tail := a.tail + b.tail - float64(a.tail*b.tail)
+	// Only the rows that reach the cap spill into the tail.
+	for i := max(0, keep-len(bp)+1); i < len(ap); i++ {
+		av := ap[i]
 		if av == 0 {
 			continue
 		}
-		// Split the inner loop at the truncation horizon: bins below it
-		// accumulate into the result, bins at or beyond it into the tail.
-		// Within one row both accumulations run in ascending j, preserving
-		// the exact floating-point summation order of the immutable path.
-		jmax := keep - i
-		if jmax > len(b.p) {
-			jmax = len(b.p)
-		}
-		if jmax > 0 {
-			row := out[i : i+jmax]
-			bp := b.p[:jmax]
-			for j, bv := range bp {
-				row[j] += av * bv
-			}
-		} else {
-			jmax = 0
-		}
-		for _, bv := range b.p[jmax:] {
-			tail += av * bv
+		for _, bv := range bp[max(0, keep-i):] {
+			tail += float64(av * bv)
 		}
 	}
 	dst.origin = a.origin + b.origin
@@ -95,6 +116,34 @@ func ConvolveMaxInto(dst, a, b *PMF, maxBins int) *PMF {
 	dst.p = out
 	dst.tail = tail
 	return dst
+}
+
+// addScaled adds x[i]·s to o[i] for every i both slices hold: one row
+// or one column of a ⊛ b.
+func addScaled(o, x []float64, s float64) {
+	x = x[:min(len(x), len(o))]
+	o = o[:len(x)]
+	for i, v := range x {
+		o[i] += float64(v * s)
+	}
+}
+
+// addColumnPair adds columns j and j−1 of a ⊛ b, hi = b[j] and lo =
+// b[j−1], into o = out[j−1:]: o[r] adds a[r−1]·hi, then a[r]·lo. It is a
+// function of its own so that its loop keeps every value in a register.
+func addColumnPair(o, a []float64, hi, lo float64) {
+	o[0] += float64(a[0] * lo)
+	as := a[:min(len(a), len(o))]
+	mid := o[:len(as)]
+	prev := as[0]
+	for r := 1; r < len(as); r++ {
+		cur := as[r]
+		mid[r] = (mid[r] + float64(prev*hi)) + float64(cur*lo)
+		prev = cur
+	}
+	if len(a) < len(o) {
+		o[len(a)] += float64(a[len(a)-1] * hi)
+	}
 }
 
 // ShiftInPlace translates d by t time units (rounded to whole bins) and

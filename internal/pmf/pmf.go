@@ -38,24 +38,32 @@ type PMF struct {
 
 // New returns a PMF with the given origin bin index, bin width, and mass
 // vector. The mass vector is copied and normalized together with tail so the
-// total is exactly 1. It panics if width <= 0, if any mass is negative, or
-// if the total mass is zero.
+// total is exactly 1. It panics if width is not positive and finite, if
+// masses is empty, if any mass or the tail is negative, NaN or infinite, or
+// if the total mass is zero or overflows. Every PMF therefore holds at
+// least one bin and finite masses, which the convolution kernel relies on.
 func New(origin int, width float64, masses []float64, tail float64) *PMF {
-	if width <= 0 {
-		panic("pmf: bin width must be positive")
+	if !(width > 0) || math.IsInf(width, 1) {
+		panic("pmf: bin width must be positive and finite")
 	}
-	if tail < 0 {
-		panic("pmf: tail mass must be non-negative")
+	if len(masses) == 0 {
+		panic("pmf: New requires at least one bin")
+	}
+	if !finiteMass(tail) {
+		panic("pmf: tail mass must be non-negative and finite")
 	}
 	total := tail
 	for _, m := range masses {
-		if m < 0 || math.IsNaN(m) {
-			panic("pmf: masses must be non-negative")
+		if !finiteMass(m) {
+			panic("pmf: masses must be non-negative and finite")
 		}
 		total += m
 	}
 	if total <= 0 {
 		panic("pmf: total mass must be positive")
+	}
+	if math.IsInf(total, 1) {
+		panic("pmf: total mass overflows")
 	}
 	p := make([]float64, len(masses))
 	for i, m := range masses {
@@ -65,6 +73,9 @@ func New(origin int, width float64, masses []float64, tail float64) *PMF {
 	d.trim()
 	return d
 }
+
+// finiteMass reports whether m is a usable mass: non-negative and finite.
+func finiteMass(m float64) bool { return m >= 0 && !math.IsInf(m, 1) }
 
 // Delta returns a point-mass PMF concentrated at time t (rounded to the
 // nearest bin of the given width).
