@@ -23,7 +23,7 @@
 // 4-5 use the simulator's machine, pruner and sched primitives in the
 // simulator's order (the golden tests in golden_test.go pin bitwise
 // equivalence). Steady-state Decide+Complete cycles are allocation-free —
-// task structs are recycled through a free list, PMF buffers through the
+// task structs are recycled through a task.Arena, PMF buffers through the
 // session's pmf.Scratch, and the eviction / started-task report slices are
 // session-owned and reused.
 //
@@ -230,7 +230,7 @@ type Session struct {
 	now      float64
 	nextID   int
 	live     map[int]liveTask
-	free     []*task.Task
+	tasks    task.Arena
 	gen      []uint64
 	counters Counters
 
@@ -343,34 +343,16 @@ func (s *Session) validateSpec(spec TaskSpec) error {
 	return nil
 }
 
-// newTask materializes a task struct for spec, recycling a free one when
-// possible.
+// newTask materializes a task struct for spec from the session's arena.
 func (s *Session) newTask(spec TaskSpec, now float64) *task.Task {
-	var t *task.Task
-	if n := len(s.free); n > 0 {
-		t = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		*t = task.Task{}
-	} else {
-		t = &task.Task{}
-	}
-	t.ID = s.nextID
+	t := s.tasks.New(s.nextID, spec.Type, now, spec.Deadline)
 	s.nextID++
-	t.Type = spec.Type
-	t.Arrival = now
-	t.Deadline = spec.Deadline
-	t.Machine = -1
-	t.Value = spec.Value
-	if t.Value <= 0 {
-		t.Value = 1
+	if spec.Value > 0 {
+		t.Value = spec.Value
 	}
 	t.Status = task.StatusBatchQueued
 	return t
 }
-
-// recycle returns a task struct to the free list.
-func (s *Session) recycle(t *task.Task) { s.free = append(s.free, t) }
 
 // evict records one pruned task in the reused eviction buffer and drops it
 // from the live set.
@@ -379,7 +361,7 @@ func (s *Session) evict(t *task.Task, j int, reason string) {
 	s.counters.Evicted++
 	if _, ok := s.live[t.ID]; ok {
 		delete(s.live, t.ID)
-		s.recycle(t)
+		s.tasks.Recycle(t)
 	}
 }
 
@@ -468,7 +450,7 @@ func (s *Session) decideOne(spec TaskSpec, now float64) Decision {
 		s.counters.Dropped++
 		s.pruner.RecordReactiveDrop(t.Type)
 		t.Status = task.StatusDroppedReactive
-		s.recycle(t)
+		s.tasks.Recycle(t)
 		return d
 	}
 	s.ctx.Now = now
@@ -482,7 +464,7 @@ func (s *Session) decideOne(spec TaskSpec, now float64) Decision {
 	if j < 0 {
 		d.Verdict, d.Reason = VerdictDefer, ReasonNoMachine
 		s.counters.Deferred++
-		s.recycle(t)
+		s.tasks.Recycle(t)
 		return d
 	}
 	chance := s.machines[j].ChanceIfEnqueued(t.Type, t.Deadline, now)
@@ -491,13 +473,13 @@ func (s *Session) decideOne(spec TaskSpec, now float64) Decision {
 	case s.pruner.ShouldDeferValued(chance, t.Type, t.Value):
 		d.Verdict, d.Reason = VerdictDefer, ReasonLowChance
 		s.counters.Deferred++
-		s.recycle(t)
+		s.tasks.Recycle(t)
 	case s.pruner.ShouldDropValued(chance, t.Type, t.Value):
 		d.Verdict, d.Reason = VerdictDrop, ReasonLowChance
 		s.counters.Dropped++
 		s.pruner.RecordProactiveDrop(t.Type)
 		t.Status = task.StatusDroppedProactive
-		s.recycle(t)
+		s.tasks.Recycle(t)
 	default:
 		d.Verdict = VerdictAccept
 		s.counters.Accepted++
@@ -535,7 +517,7 @@ func (s *Session) Complete(taskID int, now float64) (Completion, error) {
 		c.State = t.Status.String()
 		s.counters.StaleCompletions++
 		delete(s.live, taskID)
-		s.recycle(t)
+		s.tasks.Recycle(t)
 		return c, nil
 	}
 	m := s.machines[t.Machine]
@@ -551,7 +533,7 @@ func (s *Session) Complete(taskID int, now float64) (Completion, error) {
 	c.State = done.Status.String()
 	c.OnTime = onTime
 	delete(s.live, taskID)
-	s.recycle(done)
+	s.tasks.Recycle(done)
 	// A completion is a mapping event (Figure 5): sweep, then start the
 	// freed machine's next task.
 	s.pruner.Sweep(s.machines, now, s.swept)

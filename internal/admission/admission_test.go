@@ -457,11 +457,11 @@ func TestRegistryLifecycle(t *testing.T) {
 	if h.ID != "s000001" {
 		t.Errorf("ID = %q, want s000001", h.ID)
 	}
-	if err := r.With(h.ID, func(s *Session) error {
+	if err := r.WithHandle(h.ID, func(_ *Handle, s *Session) error {
 		_, err := s.Decide(TaskSpec{Type: 0, Deadline: 100}, 0)
 		return err
 	}); err != nil {
-		t.Fatalf("With: %v", err)
+		t.Fatalf("WithHandle: %v", err)
 	}
 	infos := r.List()
 	if len(infos) != 1 || infos[0].ID != h.ID || infos[0].InFlight != 1 {
@@ -471,14 +471,14 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatalf("Delete: %v", err)
 	}
 	// Deleted -> expired (tombstoned), unknown -> not found.
-	if err := r.With(h.ID, func(*Session) error { return nil }); !errors.Is(err, ErrSessionExpired) {
-		t.Errorf("With(deleted) err = %v, want ErrSessionExpired", err)
+	if err := r.WithHandle(h.ID, func(*Handle, *Session) error { return nil }); !errors.Is(err, ErrSessionExpired) {
+		t.Errorf("WithHandle(deleted) err = %v, want ErrSessionExpired", err)
 	}
 	if err := r.Delete(h.ID); !errors.Is(err, ErrSessionExpired) {
 		t.Errorf("Delete(deleted) err = %v, want ErrSessionExpired", err)
 	}
-	if err := r.With("s999999", func(*Session) error { return nil }); !errors.Is(err, ErrSessionNotFound) {
-		t.Errorf("With(unknown) err = %v, want ErrSessionNotFound", err)
+	if err := r.WithHandle("s999999", func(*Handle, *Session) error { return nil }); !errors.Is(err, ErrSessionNotFound) {
+		t.Errorf("WithHandle(unknown) err = %v, want ErrSessionNotFound", err)
 	}
 }
 
@@ -498,7 +498,7 @@ func TestRegistryTTLSweep(t *testing.T) {
 		t.Fatalf("early sweep expired %d", n)
 	}
 	// Touching the session refreshes its idle timer.
-	if err := r.With(h.ID, func(*Session) error { return nil }); err != nil {
+	if err := r.WithHandle(h.ID, func(*Handle, *Session) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	fc.t = fc.t.Add(45 * time.Second) // 45s idle < TTL, but 75s since create
@@ -512,8 +512,8 @@ func TestRegistryTTLSweep(t *testing.T) {
 	if expired != 1 {
 		t.Errorf("OnExpired total = %d, want 1", expired)
 	}
-	if err := r.With(h.ID, func(*Session) error { return nil }); !errors.Is(err, ErrSessionExpired) {
-		t.Errorf("With(expired) err = %v, want ErrSessionExpired", err)
+	if err := r.WithHandle(h.ID, func(*Handle, *Session) error { return nil }); !errors.Is(err, ErrSessionExpired) {
+		t.Errorf("WithHandle(expired) err = %v, want ErrSessionExpired", err)
 	}
 	if r.Len() != 0 {
 		t.Errorf("Len = %d after expiry, want 0", r.Len())
@@ -552,7 +552,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		go func(g int) {
 			var firstErr error
 			for i := 0; i < 50; i++ {
-				err := r.With(h.ID, func(s *Session) error {
+				err := r.WithHandle(h.ID, func(_ *Handle, s *Session) error {
 					d, err := s.Decide(TaskSpec{Type: g % 2, Deadline: 1e9}, float64(i))
 					if err != nil {
 						return err

@@ -23,7 +23,7 @@ var (
 const tombstoneCap = 4096
 
 // Handle pairs a session with the lock that serializes access to it. The
-// registry hands out handles; callers go through Registry.With, which
+// registry hands out handles; callers go through Registry.WithHandle, which
 // manages the lock and the expiry bookkeeping.
 type Handle struct {
 	ID      string
@@ -161,15 +161,11 @@ func (r *Registry) lookup(id string) (*Handle, error) {
 	return nil, fmt.Errorf("%w: %s", ErrSessionNotFound, id)
 }
 
-// With runs fn with exclusive access to the session, refreshing its idle
-// timer. It returns ErrSessionNotFound / ErrSessionExpired for misses, and
-// ErrSessionExpired if the session was expired between lookup and lock.
-func (r *Registry) With(id string, fn func(*Session) error) error {
-	return r.WithHandle(id, func(_ *Handle, s *Session) error { return fn(s) })
-}
-
-// WithHandle is With with the handle's metadata (Created, ID) also exposed
-// to fn.
+// WithHandle runs fn with exclusive access to the session and its handle
+// (for Created and ID), refreshing the idle timer. It returns
+// ErrSessionNotFound / ErrSessionExpired for misses, and ErrSessionExpired
+// if the session was expired between lookup and lock. It is the registry's
+// one locked entry point to a session.
 func (r *Registry) WithHandle(id string, fn func(*Handle, *Session) error) error {
 	h, err := r.lookup(id)
 	if err != nil {

@@ -147,8 +147,8 @@ func New(id, typeIdx int, lookup PETLookup, binWidth float64) *Machine {
 	if lookup == nil {
 		panic("machine: nil PET lookup")
 	}
-	if binWidth <= 0 {
-		panic("machine: bin width must be positive")
+	if !(binWidth > 0) || math.IsInf(binWidth, 1) {
+		panic("machine: bin width must be positive and finite")
 	}
 	return &Machine{id: id, typeIdx: typeIdx, pet: lookup, binWidth: binWidth}
 }

@@ -247,3 +247,16 @@ func TestUnknownTaskTypePanics(t *testing.T) {
 	}()
 	m.Enqueue(task.New(0, 99, 0, 10), 0)
 }
+
+func TestNewRejectsBadBinWidth(t *testing.T) {
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with bin width %v: expected panic", w)
+				}
+			}()
+			New(0, 0, twoPointPET, w)
+		}()
+	}
+}

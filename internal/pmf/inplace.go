@@ -236,9 +236,7 @@ func ConditionMinInto(dst, src *PMF, t float64) *PMF {
 // DeltaInto writes a point mass at time t (rounded to the nearest bin of
 // the given width) into dst and returns dst. dst may be nil.
 func DeltaInto(dst *PMF, t, width float64) *PMF {
-	if width <= 0 {
-		panic("pmf: bin width must be positive")
-	}
+	checkWidth(width)
 	if dst == nil {
 		dst = &PMF{}
 	}

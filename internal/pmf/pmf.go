@@ -43,9 +43,7 @@ type PMF struct {
 // if the total mass is zero or overflows. Every PMF therefore holds at
 // least one bin and finite masses, which the convolution kernel relies on.
 func New(origin int, width float64, masses []float64, tail float64) *PMF {
-	if !(width > 0) || math.IsInf(width, 1) {
-		panic("pmf: bin width must be positive and finite")
-	}
+	checkWidth(width)
 	if len(masses) == 0 {
 		panic("pmf: New requires at least one bin")
 	}
@@ -74,15 +72,22 @@ func New(origin int, width float64, masses []float64, tail float64) *PMF {
 	return d
 }
 
+// checkWidth panics unless width is a usable bin width: positive and
+// finite. A NaN width fails every comparison, so the test is written to
+// reject it.
+func checkWidth(width float64) {
+	if !(width > 0) || math.IsInf(width, 1) {
+		panic("pmf: bin width must be positive and finite")
+	}
+}
+
 // finiteMass reports whether m is a usable mass: non-negative and finite.
 func finiteMass(m float64) bool { return m >= 0 && !math.IsInf(m, 1) }
 
 // Delta returns a point-mass PMF concentrated at time t (rounded to the
 // nearest bin of the given width).
 func Delta(t, width float64) *PMF {
-	if width <= 0 {
-		panic("pmf: bin width must be positive")
-	}
+	checkWidth(width)
 	idx := int(math.Round(t / width))
 	return &PMF{origin: idx, width: width, p: []float64{1}, tail: 0}
 }
@@ -90,14 +95,13 @@ func Delta(t, width float64) *PMF {
 // FromSamples builds a PMF as a histogram of the given samples with the
 // given bin width — exactly how the paper builds PET matrix entries from 500
 // Gamma-distributed execution-time samples. It panics on an empty sample set
-// or non-positive width. Negative samples are clamped to zero.
+// or a width that is not positive and finite. Negative samples are clamped
+// to zero.
 func FromSamples(samples []float64, width float64) *PMF {
 	if len(samples) == 0 {
 		panic("pmf: FromSamples requires at least one sample")
 	}
-	if width <= 0 {
-		panic("pmf: bin width must be positive")
-	}
+	checkWidth(width)
 	lo, hi := math.MaxInt, math.MinInt
 	idx := make([]int, len(samples))
 	for i, s := range samples {

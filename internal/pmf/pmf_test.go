@@ -41,6 +41,30 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
+// TestWidthMustBePositiveAndFinite: every constructor that takes a bin
+// width rejects NaN and +Inf as it rejects zero and negatives. A NaN width
+// fails every comparison, so a width <= 0 test lets it through.
+func TestWidthMustBePositiveAndFinite(t *testing.T) {
+	builders := map[string]func(w float64){
+		"New":         func(w float64) { New(0, w, []float64{1}, 0) },
+		"Delta":       func(w float64) { Delta(5, w) },
+		"DeltaInto":   func(w float64) { DeltaInto(nil, 5, w) },
+		"FromSamples": func(w float64) { FromSamples([]float64{1, 2}, w) },
+	}
+	for name, build := range builders {
+		for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with width %v: expected panic", name, w)
+					}
+				}()
+				build(w)
+			}()
+		}
+	}
+}
+
 func TestNewTrimsZeros(t *testing.T) {
 	d := New(0, 1, []float64{0, 0, 1, 2, 0}, 0)
 	if d.Origin() != 2 || d.NumBins() != 2 {

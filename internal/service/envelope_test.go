@@ -23,6 +23,11 @@ func TestErrorEnvelopeContract(t *testing.T) {
 	if code, raw := doJSON(t, ts, "DELETE", "/v1/sessions/"+gone, "", nil); code != http.StatusOK {
 		t.Fatalf("closing session: %d %s", code, raw)
 	}
+	// A session with machine 0 already down, for the repeated-fail case.
+	downed := createSession(t, ts, "")
+	if code, raw := doJSON(t, ts, "POST", "/v1/sessions/"+downed+"/machines/0/fail", "", nil); code != http.StatusOK {
+		t.Fatalf("failing machine: %d %s", code, raw)
+	}
 
 	cases := []struct {
 		name       string
@@ -91,6 +96,12 @@ func TestErrorEnvelopeContract(t *testing.T) {
 		{"machine index not a number", "POST", "/v1/sessions/" + live + "/machines/abc/fail", "", 400, "invalid_request"},
 		{"machine index out of range", "POST", "/v1/sessions/" + live + "/machines/99/fail", "", 404, "invalid_request"},
 		{"rejoin out of range", "POST", "/v1/sessions/" + live + "/machines/99/rejoin", "", 404, "invalid_request"},
+		{"fail machine already down", "POST", "/v1/sessions/" + downed + "/machines/0/fail", "", 400, "invalid_request"},
+		{"rejoin machine that is up", "POST", "/v1/sessions/" + live + "/machines/0/rejoin", "", 400, "invalid_request"},
+		{"rejoin index not a number", "POST", "/v1/sessions/" + live + "/machines/abc/rejoin", "", 400, "invalid_request"},
+		{"complete expired session", "POST", "/v1/sessions/" + gone + "/complete",
+			`{"task_id": 0}`, 410, "session_expired"},
+		{"fail expired session", "POST", "/v1/sessions/" + gone + "/machines/0/fail", "", 410, "session_expired"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -115,6 +126,10 @@ func TestErrorEnvelopeContract(t *testing.T) {
 			}
 			if env.Error.Message == "" {
 				t.Fatalf("empty message: %s", raw)
+			}
+			// An unknown-task answer names the task it is about.
+			if c.wantCode == "invalid_task" && env.Error.TaskID == nil {
+				t.Fatalf("task_id missing from envelope: %s", raw)
 			}
 		})
 	}

@@ -84,8 +84,3 @@ func apiError(w http.ResponseWriter, status int, code, format string, args ...an
 func jobError(w http.ResponseWriter, status int, code, jobID, format string, args ...any) {
 	writeError(w, status, ErrorBody{Code: code, Message: fmt.Sprintf(format, args...), JobID: jobID})
 }
-
-// sessionError writes a coded error about a specific session.
-func sessionError(w http.ResponseWriter, status int, code, sessionID, format string, args ...any) {
-	writeError(w, status, ErrorBody{Code: code, Message: fmt.Sprintf(format, args...), SessionID: sessionID})
-}

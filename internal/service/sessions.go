@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -60,22 +61,6 @@ type completeRequest struct {
 type decideResponse struct {
 	SessionID string `json:"session_id"`
 	admission.Decision
-}
-
-// sessionEscape maps internal/admission registry errors onto envelope
-// responses; reports whether err was handled.
-func sessionEscape(w http.ResponseWriter, id string, err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, admission.ErrSessionNotFound):
-		sessionError(w, http.StatusNotFound, CodeNotFound, id, "no session %q", id)
-	case errors.Is(err, admission.ErrSessionExpired):
-		sessionError(w, http.StatusGone, CodeSessionExpired, id, "session %q expired or was closed", id)
-	default:
-		return false
-	}
-	return true
 }
 
 // decodeBody strictly decodes a JSON request body into v: unknown fields
@@ -182,25 +167,63 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": s.sessions.List()})
 }
 
+// sessionCall runs op on session id under the session's lock, at the
+// request's clock (sessionNow), and answers any error — the registry's or
+// op's — through sessionFailure. It reports whether op succeeded; the
+// handler then writes its answer. op must copy out the session-owned
+// slices it returns with append([]T(nil), s...): the session reuses them
+// once the lock is released, and slices.Clone would turn a nil slice into
+// an empty one, changing null to [] on the wire.
+func sessionCall[T any](s *Server, w http.ResponseWriter, id string, now *float64, task *int,
+	op func(sess *admission.Session, now float64) (T, error)) (T, bool) {
+	var res T
+	err := s.sessions.WithHandle(id, func(h *admission.Handle, sess *admission.Session) error {
+		var err error
+		res, err = op(sess, sessionNow(h, now))
+		return err
+	})
+	if err != nil {
+		sessionFailure(w, id, task, err)
+		return res, false
+	}
+	return res, true
+}
+
+// sessionFailure answers a failed call on session id with the error
+// envelope: the one place each admission error class meets its status and
+// code. task is the request's task ID, named in an unknown-task answer.
+func sessionFailure(w http.ResponseWriter, id string, task *int, err error) {
+	status, body := http.StatusBadRequest, ErrorBody{Code: CodeInvalidRequest, Message: err.Error(), SessionID: id}
+	switch {
+	case errors.Is(err, admission.ErrSessionNotFound):
+		status, body.Code, body.Message = http.StatusNotFound, CodeNotFound, fmt.Sprintf("no session %q", id)
+	case errors.Is(err, admission.ErrSessionExpired):
+		status, body.Code, body.Message = http.StatusGone, CodeSessionExpired, fmt.Sprintf("session %q expired or was closed", id)
+	case errors.Is(err, admission.ErrUnknownTask):
+		status, body.Code, body.TaskID = http.StatusNotFound, CodeInvalidTask, task
+	case errors.Is(err, admission.ErrUnknownMachine):
+		status = http.StatusNotFound
+	}
+	writeError(w, status, body)
+}
+
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var snap admission.Snapshot
-	err := s.sessions.With(id, func(sess *admission.Session) error {
-		snap = sess.Snapshot()
-		return nil
+	snap, ok := sessionCall(s, w, id, nil, nil, func(sess *admission.Session, _ float64) (admission.Snapshot, error) {
+		return sess.Snapshot(), nil
 	})
-	if sessionEscape(w, id, err) {
-		return
+	if ok {
+		writeJSON(w, http.StatusOK, struct {
+			SessionID string `json:"session_id"`
+			admission.Snapshot
+		}{id, snap})
 	}
-	writeJSON(w, http.StatusOK, struct {
-		SessionID string `json:"session_id"`
-		admission.Snapshot
-	}{id, snap})
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := s.sessions.Delete(id); sessionEscape(w, id, err) {
+	if err := s.sessions.Delete(id); err != nil {
+		sessionFailure(w, id, nil, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"session_id": id, "state": "closed"})
@@ -225,24 +248,13 @@ func (s *Server) handleSessionDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	var d admission.Decision
 	start := time.Now()
-	err := s.sessions.WithHandle(id, func(h *admission.Handle, sess *admission.Session) error {
-		var derr error
-		d, derr = sess.Decide(req.TaskSpec, sessionNow(h, req.Now))
-		if derr != nil {
-			return derr
-		}
-		// The Evicted slice is session-owned; copy it out before the lock
-		// is released.
+	d, ok := sessionCall(s, w, id, req.Now, nil, func(sess *admission.Session, now float64) (admission.Decision, error) {
+		d, err := sess.Decide(req.TaskSpec, now)
 		d.Evicted = append([]admission.Eviction(nil), d.Evicted...)
-		return nil
+		return d, err
 	})
-	if sessionEscape(w, id, err) {
-		return
-	}
-	if err != nil {
-		sessionError(w, http.StatusBadRequest, CodeInvalidRequest, id, "%v", err)
+	if !ok {
 		return
 	}
 	s.metrics.DecideLatency.Observe(time.Since(start).Seconds())
@@ -260,24 +272,15 @@ func (s *Server) handleSessionDecideBatch(w http.ResponseWriter, r *http.Request
 		return
 	}
 	id := r.PathValue("id")
-	var ds []admission.Decision
 	start := time.Now()
-	err := s.sessions.WithHandle(id, func(h *admission.Handle, sess *admission.Session) error {
-		var derr error
-		ds, derr = sess.DecideBatch(req.Tasks, sessionNow(h, req.Now))
-		if derr != nil {
-			return derr
-		}
+	ds, ok := sessionCall(s, w, id, req.Now, nil, func(sess *admission.Session, now float64) ([]admission.Decision, error) {
+		ds, err := sess.DecideBatch(req.Tasks, now)
 		for i := range ds {
 			ds[i].Evicted = append([]admission.Eviction(nil), ds[i].Evicted...)
 		}
-		return nil
+		return ds, err
 	})
-	if sessionEscape(w, id, err) {
-		return
-	}
-	if err != nil {
-		sessionError(w, http.StatusBadRequest, CodeInvalidRequest, id, "%v", err)
+	if !ok {
 		return
 	}
 	s.metrics.DecideLatency.Observe(time.Since(start).Seconds())
@@ -293,29 +296,13 @@ func (s *Server) handleSessionComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	var c admission.Completion
-	err := s.sessions.WithHandle(id, func(h *admission.Handle, sess *admission.Session) error {
-		var cerr error
-		c, cerr = sess.Complete(req.TaskID, sessionNow(h, req.Now))
-		if cerr != nil {
-			return cerr
-		}
+	c, ok := sessionCall(s, w, id, req.Now, &req.TaskID, func(sess *admission.Session, now float64) (admission.Completion, error) {
+		c, err := sess.Complete(req.TaskID, now)
 		c.Started = append([]int(nil), c.Started...)
 		c.Evicted = append([]admission.Eviction(nil), c.Evicted...)
-		return nil
+		return c, err
 	})
-	if sessionEscape(w, id, err) {
-		return
-	}
-	if err != nil {
-		if errors.Is(err, admission.ErrUnknownTask) {
-			tid := req.TaskID
-			writeError(w, http.StatusNotFound, ErrorBody{
-				Code: CodeInvalidTask, Message: err.Error(), SessionID: id, TaskID: &tid,
-			})
-			return
-		}
-		sessionError(w, http.StatusBadRequest, CodeInvalidRequest, id, "%v", err)
+	if !ok {
 		return
 	}
 	s.metrics.Completions.Add(1)
@@ -328,24 +315,25 @@ func (s *Server) handleSessionComplete(w http.ResponseWriter, r *http.Request) {
 	}{id, c})
 }
 
-// sessionMachine parses the {machine} path value.
-func sessionMachine(w http.ResponseWriter, r *http.Request, id string) (int, bool) {
-	j, err := strconv.Atoi(r.PathValue("machine"))
-	if err != nil {
-		sessionError(w, http.StatusBadRequest, CodeInvalidRequest, id, "machine must be an integer index: %v", err)
-		return 0, false
-	}
-	return j, true
-}
-
-// machineEventRequest is the body of fail/rejoin (optional, for "now").
+// machineEventRequest is the body of fail (optional, for "now").
 type machineEventRequest struct {
 	Now *float64 `json:"now,omitempty"`
 }
 
+// sessionMachine parses the {machine} path value, answering a malformed
+// index with the envelope.
+func sessionMachine(w http.ResponseWriter, r *http.Request) (id string, j int, ok bool) {
+	id = r.PathValue("id")
+	j, err := strconv.Atoi(r.PathValue("machine"))
+	if err != nil {
+		sessionFailure(w, id, nil, fmt.Errorf("machine must be an integer index: %w", err))
+		return id, 0, false
+	}
+	return id, j, true
+}
+
 func (s *Server) handleSessionMachineFail(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := sessionMachine(w, r, id)
+	id, j, ok := sessionMachine(w, r)
 	if !ok {
 		return
 	}
@@ -353,50 +341,26 @@ func (s *Server) handleSessionMachineFail(w http.ResponseWriter, r *http.Request
 	if r.ContentLength != 0 && !decodeBody(w, r, &req) {
 		return
 	}
-	var orphans []admission.Eviction
-	err := s.sessions.WithHandle(id, func(h *admission.Handle, sess *admission.Session) error {
-		evs, ferr := sess.FailMachine(j, sessionNow(h, req.Now))
-		if ferr != nil {
-			return ferr
-		}
-		orphans = append([]admission.Eviction(nil), evs...)
-		return nil
+	orphans, ok := sessionCall(s, w, id, req.Now, nil, func(sess *admission.Session, now float64) ([]admission.Eviction, error) {
+		evs, err := sess.FailMachine(j, now)
+		return append([]admission.Eviction(nil), evs...), err
 	})
-	if sessionEscape(w, id, err) {
-		return
+	if ok {
+		writeJSON(w, http.StatusOK, map[string]any{"session_id": id, "machine": j, "state": "down", "orphaned": orphans})
 	}
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, admission.ErrUnknownMachine) {
-			status = http.StatusNotFound
-		}
-		sessionError(w, status, CodeInvalidRequest, id, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"session_id": id, "machine": j, "state": "down", "orphaned": orphans})
 }
 
 func (s *Server) handleSessionMachineRejoin(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := sessionMachine(w, r, id)
+	id, j, ok := sessionMachine(w, r)
 	if !ok {
 		return
 	}
-	err := s.sessions.With(id, func(sess *admission.Session) error {
-		return sess.RejoinMachine(j)
+	_, ok = sessionCall(s, w, id, nil, nil, func(sess *admission.Session, _ float64) (struct{}, error) {
+		return struct{}{}, sess.RejoinMachine(j)
 	})
-	if sessionEscape(w, id, err) {
-		return
+	if ok {
+		writeJSON(w, http.StatusOK, map[string]any{"session_id": id, "machine": j, "state": "up"})
 	}
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, admission.ErrUnknownMachine) {
-			status = http.StatusNotFound
-		}
-		sessionError(w, status, CodeInvalidRequest, id, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"session_id": id, "machine": j, "state": "up"})
 }
 
 // Sessions exposes the admission registry (embedders and tests).
