@@ -115,6 +115,9 @@ func Run(name string, opt Options) (*FigureResult, error) {
 type harness struct {
 	opt Options
 	eng *scenario.Engine
+	// record, when non-nil, receives every sweep's cell results (the
+	// results ledger test pins them).
+	record func([]scenario.CellResult)
 }
 
 // point pins one configuration of a paper sweep in the figures' native
@@ -182,7 +185,11 @@ func (h *harness) cell(series, x string, p point) scenario.Cell {
 
 // sweep resolves a figure's cells through the shared engine.
 func (h *harness) sweep(cells []scenario.Cell) ([]scenario.CellResult, error) {
-	return h.eng.Sweep(cells)
+	res, err := h.eng.Sweep(cells)
+	if err == nil && h.record != nil {
+		h.record(res)
+	}
+	return res, err
 }
 
 // robustnessRows runs a figure's cells and lowers each outcome to a plain
