@@ -23,7 +23,7 @@ func (*MM) Name() string { return "MM" }
 // Map implements Batch.
 func (*MM) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 	v := newVirtualState(ctx)
-	remaining := v.tasks(unmapped)
+	remaining := unmapped
 	out := ctx.AssignBuf[:0]
 	for v.total > 0 && len(remaining) > 0 {
 		bestI, bestJ, bestC := -1, -1, math.Inf(1)
@@ -39,6 +39,8 @@ func (*MM) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 		t := remaining[bestI]
 		out = append(out, Assignment{Task: t, Machine: bestJ})
 		v.assign(ctx, t, bestJ)
+		// Closing the gap in place leaves the unassigned tasks in order at
+		// the front of unmapped (the Batch contract).
 		remaining = append(remaining[:bestI], remaining[bestI+1:]...)
 	}
 	ctx.AssignBuf = out
@@ -99,12 +101,13 @@ func (*MMU) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 // MMU: each round, every unmapped task nominates its minimum-completion
 // machine; each machine with free slots picks the nominee minimizing
 // key(primary, secondary); the round's picks are committed and the process
-// repeats until no assignment can be made.
+// repeats until no assignment can be made. Each round compacts the tasks it
+// did not commit to the front of unmapped (the Batch contract).
 func mapPerMachineRounds(ctx *Context, unmapped []*task.Task,
 	key func(t *task.Task, completion float64) (primary, secondary float64)) []Assignment {
 
 	v := newVirtualState(ctx)
-	remaining := v.tasks(unmapped)
+	remaining := unmapped
 	v.roundBuffers(len(ctx.Machines), len(remaining))
 	out := ctx.AssignBuf[:0]
 	for v.total > 0 && len(remaining) > 0 {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"slices"
 	"testing"
 
 	"prunesim/internal/task"
@@ -41,9 +40,7 @@ func BenchmarkSchedMapDeferred(b *testing.B) {
 			if len(asgs) == 0 {
 				b.Fatal("no assignment with free slots")
 			}
-			avail = slices.DeleteFunc(avail, func(t *task.Task) bool {
-				return slices.ContainsFunc(asgs, func(a Assignment) bool { return a.Task == t })
-			})
+			avail = avail[:len(avail)-len(asgs)]
 		}
 	}
 }

@@ -96,7 +96,9 @@ func hasFree(ctx *Context) bool {
 
 // replay runs the batch mapping event over f twice (at two successive
 // times) and calls check with each Map answer, copied, and the arguments
-// it was computed from. A task is deferred with probability 1/2.
+// it was computed from. A task is deferred with probability 1/2. Map gets
+// a clone of the arguments, and replay checks that it compacted the tasks
+// it did not assign to the clone's front, in order (the Batch contract).
 func (f *replayFixture) replay(t *testing.T, h Batch, check func(now float64, avail []*task.Task, got []Assignment)) {
 	t.Helper()
 	avail := slices.Clone(f.tasks)
@@ -104,8 +106,16 @@ func (f *replayFixture) replay(t *testing.T, h Batch, check func(now float64, av
 		f.ctx.Now = now
 		pending := slices.Clone(avail)
 		for len(pending) > 0 && hasFree(f.ctx) {
-			got := slices.Clone(h.Map(f.ctx, pending))
-			check(now, pending, got)
+			in := slices.Clone(pending)
+			got := slices.Clone(h.Map(f.ctx, in))
+			rest := slices.DeleteFunc(slices.Clone(pending), func(t *task.Task) bool {
+				return slices.ContainsFunc(got, func(a Assignment) bool { return a.Task == t })
+			})
+			if len(rest) != len(pending)-len(got) || !slices.Equal(in[:len(rest)], rest) {
+				t.Fatalf("%s at now=%v: Map left %v at the front of its input, want the unassigned %v",
+					h.Name(), now, taskIDs(in[:max(len(in)-len(got), 0)]), taskIDs(rest))
+			}
+			check(now, pending, got) // may reorder pending (the fresh twin compacts it)
 			if len(got) == 0 {
 				break
 			}
@@ -116,11 +126,18 @@ func (f *replayFixture) replay(t *testing.T, h Batch, check func(now float64, av
 				f.ctx.Machines[a.Machine].Enqueue(a.Task, now)
 				avail = slices.DeleteFunc(avail, func(t *task.Task) bool { return t == a.Task })
 			}
-			pending = slices.DeleteFunc(pending, func(t *task.Task) bool {
-				return slices.ContainsFunc(got, func(a Assignment) bool { return a.Task == t })
-			})
+			pending = rest
 		}
 	}
+}
+
+// taskIDs lists the IDs of ts.
+func taskIDs(ts []*task.Task) []int {
+	ids := make([]int, len(ts))
+	for i, t := range ts {
+		ids[i] = t.ID
+	}
+	return ids
 }
 
 // naiveState recomputes the virtual machine state from scratch, reading

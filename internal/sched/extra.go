@@ -53,7 +53,7 @@ func (*MaxMin) Name() string { return "MaxMin" }
 // Map implements Batch.
 func (*MaxMin) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 	v := newVirtualState(ctx)
-	remaining := v.tasks(unmapped)
+	remaining := unmapped
 	out := ctx.AssignBuf[:0]
 	for v.total > 0 && len(remaining) > 0 {
 		bestI, bestJ, bestC := -1, -1, math.Inf(-1)

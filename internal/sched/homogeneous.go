@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"sort"
-
 	"prunesim/internal/task"
 )
 
@@ -23,21 +21,22 @@ func (*FCFSRR) Name() string { return "FCFS-RR" }
 // Map implements Batch.
 func (f *FCFSRR) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 	v := newVirtualState(ctx)
-	queue := v.tasks(unmapped)
-	sortTasksByArrival(queue)
+	// Task IDs are arrival order (and exact as float64 keys).
+	order := v.sortPositions(unmapped, func(t *task.Task) float64 { return float64(t.ID) })
 	n := len(ctx.Machines)
 	out := ctx.AssignBuf[:0]
-	for _, t := range queue {
+	for _, i := range order {
 		if v.total <= 0 {
 			break
 		}
 		// Find the next machine in cyclic order with a free slot.
-		assigned := false
+		t, assigned := unmapped[i], false
 		for probe := 0; probe < n; probe++ {
 			j := (f.next + probe) % n
 			if v.free[j] > 0 {
 				out = append(out, Assignment{Task: t, Machine: j})
 				v.assign(ctx, t, j)
+				v.chosenStamp[i] = v.round
 				f.next = (j + 1) % n
 				assigned = true
 				break
@@ -47,6 +46,7 @@ func (f *FCFSRR) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 			break
 		}
 	}
+	v.compact(unmapped)
 	ctx.AssignBuf = out
 	return out
 }
@@ -64,7 +64,7 @@ func (*EDF) Name() string { return "EDF" }
 
 // Map implements Batch.
 func (*EDF) Map(ctx *Context, unmapped []*task.Task) []Assignment {
-	return assignSorted(ctx, unmapped, func(a, b *task.Task) bool { return a.Deadline < b.Deadline })
+	return assignSorted(ctx, unmapped, func(_ *virtualState, t *task.Task) float64 { return t.Deadline })
 }
 
 // SJF is Shortest Job First: the arrival queue is sorted by expected
@@ -82,29 +82,30 @@ func (*SJF) Name() string { return "SJF" }
 func (*SJF) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 	// On a homogeneous system the expected execution time is
 	// machine-independent; use machine 0's column.
-	return assignSorted(ctx, unmapped, func(a, b *task.Task) bool {
-		return ctx.MeanExec(a.Type, 0) < ctx.MeanExec(b.Type, 0)
-	})
+	return assignSorted(ctx, unmapped, func(v *virtualState, t *task.Task) float64 { return v.typeMean(ctx, t.Type) })
 }
 
-// assignSorted maps tasks in the order induced by less, each to the machine
-// with the minimum expected completion time, until slots run out.
-func assignSorted(ctx *Context, unmapped []*task.Task, less func(a, b *task.Task) bool) []Assignment {
+// assignSorted maps tasks in ascending key order (ties in queue order),
+// each to the machine with the minimum expected completion time, until
+// slots run out.
+func assignSorted(ctx *Context, unmapped []*task.Task, key func(v *virtualState, t *task.Task) float64) []Assignment {
 	v := newVirtualState(ctx)
-	queue := v.tasks(unmapped)
-	sort.SliceStable(queue, func(i, j int) bool { return less(queue[i], queue[j]) })
+	order := v.sortPositions(unmapped, func(t *task.Task) float64 { return key(v, t) })
 	out := ctx.AssignBuf[:0]
-	for _, t := range queue {
+	for _, i := range order {
 		if v.total <= 0 {
 			break
 		}
+		t := unmapped[i]
 		j, _ := v.bestMachine(ctx, t)
 		if j < 0 {
 			break
 		}
 		out = append(out, Assignment{Task: t, Machine: j})
 		v.assign(ctx, t, j)
+		v.chosenStamp[i] = v.round
 	}
+	v.compact(unmapped)
 	ctx.AssignBuf = out
 	return out
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"prunesim/internal/machine"
 	"prunesim/internal/task"
@@ -84,6 +83,12 @@ type Assignment struct {
 // or no task remains. Implementations must not mutate tasks or machines;
 // they reason over virtual state only.
 //
+// Map compacts unmapped in place: when it returns k assignments,
+// unmapped[:len(unmapped)-k] holds the tasks it did not assign, in their
+// original order, and what it leaves after that prefix is unspecified. A
+// caller re-mapping the rest (the simulator after a deferral) truncates
+// its slice instead of filtering out the assigned tasks.
+//
 // The returned slice is backed by the Context's reusable AssignBuf: it is
 // valid only until the next Map call with the same Context, so callers must
 // consume (or copy) it first.
@@ -121,16 +126,21 @@ type virtualState struct {
 	startReady             []float64
 	startFree              []int
 
-	// remaining is the reusable working copy of the unmapped tasks (see
-	// tasks). picks, chosenMach and chosenStamp are the per-round nominee
-	// table and committed-task markers of mapPerMachineRounds; round is the
-	// monotonically increasing stamp that makes stale markers harmless
-	// across rounds and Map calls.
-	remaining   []*task.Task
+	// picks and chosenMach are the per-round nominee table and committed
+	// machines of mapPerMachineRounds. chosenStamp marks the positions of
+	// unmapped a round or Map call assigned; round is the monotonically
+	// increasing stamp that makes stale markers harmless across rounds and
+	// Map calls.
 	picks       []pick
 	chosenMach  []int32
 	chosenStamp []int64
 	round       int64
+
+	// order and keys are sortPositions' permutation and per-position sort
+	// keys; means caches MeanExec(type, 0) for SJF (NaN: not read yet).
+	order []int32
+	keys  []float64
+	means []float64
 }
 
 // bestMemo is one task type's bestMachine answer in generation gen.
@@ -177,17 +187,60 @@ func newVirtualState(ctx *Context) *virtualState {
 	return v
 }
 
-// tasks fills and returns v's reusable working copy of ts.
-func (v *virtualState) tasks(ts []*task.Task) []*task.Task {
-	v.remaining = append(v.remaining[:0], ts...)
-	return v.remaining
-}
-
 // roundBuffers sizes the mapPerMachineRounds working arrays.
 func (v *virtualState) roundBuffers(nMachines, nTasks int) {
 	v.picks = slices.Grow(v.picks[:0], nMachines)[:nMachines]
 	v.chosenMach = slices.Grow(v.chosenMach[:0], nTasks)[:nTasks]
 	v.chosenStamp = slices.Grow(v.chosenStamp[:0], nTasks)[:nTasks]
+}
+
+// sortPositions returns the positions of ts in ascending key order, ties
+// in position order: the order sort.SliceStable would put ts itself in.
+// It also starts a new round and sizes chosenStamp for ts, so the caller
+// can stamp the positions it assigns and hand them to compact.
+func (v *virtualState) sortPositions(ts []*task.Task, key func(*task.Task) float64) []int32 {
+	n := len(ts)
+	v.order = slices.Grow(v.order[:0], n)[:n]
+	v.keys = slices.Grow(v.keys[:0], n)[:n]
+	v.chosenStamp = slices.Grow(v.chosenStamp[:0], n)[:n]
+	v.round++
+	for i, t := range ts {
+		v.order[i], v.keys[i] = int32(i), key(t)
+	}
+	keys := v.keys
+	slices.SortFunc(v.order, func(a, b int32) int {
+		switch ka, kb := keys[a], keys[b]; {
+		case ka < kb:
+			return -1
+		case kb < ka:
+			return 1
+		}
+		return int(a - b)
+	})
+	return v.order
+}
+
+// compact moves the tasks of ts whose positions are not stamped with the
+// current round to its front, in order (the Batch contract).
+func (v *virtualState) compact(ts []*task.Task) {
+	kept := ts[:0]
+	for i, t := range ts {
+		if v.chosenStamp[i] != v.round {
+			kept = append(kept, t)
+		}
+	}
+}
+
+// typeMean returns MeanExec(typ, 0), reading it once per type: MeanExec is
+// fixed for the Context's life (see Context).
+func (v *virtualState) typeMean(ctx *Context, typ int) float64 {
+	for typ >= len(v.means) {
+		v.means = append(v.means, math.NaN())
+	}
+	if math.IsNaN(v.means[typ]) {
+		v.means[typ] = ctx.MeanExec(typ, 0)
+	}
+	return v.means[typ]
 }
 
 // assign appends t to machine j's virtual queue, which starts a new
@@ -269,9 +322,4 @@ func Names() []string {
 		"FCFS-RR", "EDF", "SJF",
 		"OLB", "MaxMin", "Sufferage",
 	}
-}
-
-// sortTasksByArrival sorts ts by task ID, which is arrival order.
-func sortTasksByArrival(ts []*task.Task) {
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
 }

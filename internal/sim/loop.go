@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"slices"
-
 	"prunesim/internal/eventq"
 	"prunesim/internal/machine"
 	"prunesim/internal/sched"
@@ -143,16 +141,24 @@ func (s *simulator) batchMap() {
 	if len(s.batch) == 0 {
 		return
 	}
+	// Each enqueue takes one free slot (heuristics assign only to machines
+	// with one), so free stays equal to totalFreeSlots through the event.
+	free := s.totalFreeSlots()
+	if free == 0 {
+		return
+	}
 	ctx := s.schedCtx()
 	// avail is the arrival queue minus the tasks already deferred or
-	// enqueued within this event, in queue order.
+	// enqueued within this event, in queue order: Map compacts the tasks
+	// it did not assign to the front (the sched.Batch contract).
 	avail := append(s.availBuf[:0], s.batch...)
 	enqueued := 0
-	for len(avail) > 0 && s.totalFreeSlots() > 0 {
+	for len(avail) > 0 && free > 0 {
 		asgs := s.bat.Map(ctx, avail)
 		if len(asgs) == 0 {
 			break
 		}
+		avail = avail[:len(avail)-len(asgs)]
 		for _, a := range asgs {
 			m := s.machines[a.Machine]
 			chance := m.ChanceIfEnqueued(a.Task.Type, a.Task.Deadline, s.now)
@@ -165,10 +171,8 @@ func (s *simulator) batchMap() {
 			m.Enqueue(a.Task, s.now)
 			s.emitChance(TraceMapped, a.Task, a.Machine, false, chance)
 			enqueued++
+			free--
 		}
-		avail = slices.DeleteFunc(avail, func(t *task.Task) bool {
-			return slices.ContainsFunc(asgs, func(a sched.Assignment) bool { return a.Task == t })
-		})
 	}
 	s.availBuf = avail
 	if enqueued > 0 {
