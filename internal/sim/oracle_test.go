@@ -29,7 +29,7 @@ func runMaterialized(matrix *pet.Matrix, tasks []*task.Task, cfg Config) (*Resul
 	// recordOutcome records every outcome into the stream tally, but with no
 	// arrival ever counted there (arrived stays 0) drainOutcomes never
 	// folds one: the Result comes from finalizeMaterialized alone.
-	s.stream = streamState{pending: make(map[int]outcome)}
+	s.stream = streamState{}
 
 	s.scratch = pmf.GetScratch()
 	defer func() {

@@ -450,7 +450,7 @@ func RunStream(matrix *pet.Matrix, src TaskSource, cfg Config) (*Result, error) 
 		return nil, err
 	}
 	rec, _ := src.(TaskRecycler)
-	s.stream = streamState{src: src, rec: rec, pending: make(map[int]outcome)}
+	s.stream = streamState{src: src, rec: rec}
 	return s.runStream()
 }
 

@@ -27,18 +27,53 @@ import (
 //
 //  2. Tally order. The counted window's floats (ValueTotal, ValueOnTime)
 //     accumulate by ascending task ID. The tally buffers out-of-order
-//     outcomes in a small pending map and folds them in strictly
-//     increasing ID order, holding back IDs near the trailing exclusion
-//     boundary until enough later arrivals prove them inside the window.
-//     The map holds at most the out-of-order window plus ExcludeBoundary
-//     stalled entries — never the whole workload.
+//     outcomes in a ring indexed by ID − nextFold and folds them in
+//     strictly increasing ID order, holding back IDs near the trailing
+//     exclusion boundary until enough later arrivals prove them inside the
+//     window. The ring spans at most the out-of-order window plus
+//     ExcludeBoundary stalled IDs — never the whole workload.
 
 // outcome is the fixed-size record of one finished task — everything the
 // counted-window tally needs after the struct is recycled.
 type outcome struct {
 	status task.Status
+	set    bool // the ring slot holds a recorded outcome
 	typ    int
 	value  float64
+}
+
+// outcomeRing holds recorded outcomes not yet folded: the outcome of task
+// nextFold+k sits in buf[(head+k) mod len(buf)]. It grows by doubling
+// (len(buf) is zero or a power of two), and its zero value is empty.
+type outcomeRing struct {
+	buf  []outcome
+	head int
+}
+
+// put records o at offset k past the fold cursor.
+func (r *outcomeRing) put(k int, o outcome) {
+	if k >= len(r.buf) {
+		n := max(2*len(r.buf), 64)
+		for n <= k {
+			n *= 2
+		}
+		buf := make([]outcome, n)
+		copy(buf[copy(buf, r.buf[r.head:]):], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	o.set = true
+	r.buf[(r.head+k)&(len(r.buf)-1)] = o
+}
+
+// pop removes and returns the outcome at the fold cursor and advances the
+// cursor; ok is false, and nothing moves, if none is recorded there yet.
+func (r *outcomeRing) pop() (o outcome, ok bool) {
+	if len(r.buf) == 0 || !r.buf[r.head].set {
+		return outcome{}, false
+	}
+	o, r.buf[r.head] = r.buf[r.head], outcome{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	return o, true
 }
 
 // streamState is the task source and tally state of one trial.
@@ -51,8 +86,8 @@ type streamState struct {
 	arrived int        // arrival events processed; max arrived ID + 1
 	lastArr float64    // last arrival time seen (order contract)
 
-	pending  map[int]outcome // recorded outcomes not yet folded
-	nextFold int             // next task ID to fold into the Result
+	pending  outcomeRing // recorded outcomes not yet folded, by ID − nextFold
+	nextFold int         // next task ID to fold into the Result
 }
 
 // pullArrival advances the lookahead, enforcing the source contract: IDs
@@ -81,7 +116,7 @@ func (s *simulator) pullArrival() error {
 // must no longer be referenced by any queue.
 func (s *simulator) recordOutcome(t *task.Task) {
 	st := &s.stream
-	st.pending[t.ID] = outcome{status: t.Status, typ: t.Type, value: t.Value}
+	st.pending.put(t.ID-st.nextFold, outcome{status: t.Status, typ: t.Type, value: t.Value})
 	if st.rec != nil {
 		st.rec.Recycle(t)
 	}
@@ -106,11 +141,10 @@ func (s *simulator) drainOutcomes() {
 		return
 	}
 	for st.nextFold <= maxID-lo {
-		o, ok := st.pending[st.nextFold]
+		o, ok := st.pending.pop()
 		if !ok {
 			return
 		}
-		delete(st.pending, st.nextFold)
 		if st.nextFold >= lo {
 			s.tallyOutcome(o)
 		}
@@ -279,11 +313,10 @@ func (s *simulator) finalizeStream() error {
 	}
 	hi := total - lo
 	for id := st.nextFold; id < total; id++ {
-		o, ok := st.pending[id]
+		o, ok := st.pending.pop()
 		if !ok {
 			panic(fmt.Sprintf("sim: no outcome recorded for task %d", id))
 		}
-		delete(st.pending, id)
 		if id >= lo && id < hi {
 			s.tallyOutcome(o)
 		}

@@ -345,3 +345,41 @@ func TestStreamDeterministic(t *testing.T) {
 	}
 	requireSameResult(t, run(), run())
 }
+
+// TestOutcomeRing records outcomes out of order and folds whatever is in
+// order after each record: first within a window that wraps the initial
+// 64-slot buffer several times, then within one that forces it to grow
+// while the fold cursor sits mid-buffer.
+func TestOutcomeRing(t *testing.T) {
+	var r outcomeRing
+	if _, ok := r.pop(); ok {
+		t.Fatal("zero ring popped an outcome")
+	}
+	rng := rand.New(rand.NewSource(1))
+	next, base := 0, 0
+	for _, window := range []int{40, 300} {
+		for range 10 {
+			for _, k := range rng.Perm(window) {
+				id := base + k
+				r.put(id-next, outcome{typ: id, value: float64(id) / 2})
+				for {
+					o, ok := r.pop()
+					if !ok {
+						break
+					}
+					if o.typ != next || o.value != float64(next)/2 {
+						t.Fatalf("folded outcome of task %d (value %v), want task %d", o.typ, o.value, next)
+					}
+					next++
+				}
+			}
+			base += window
+			if next != base {
+				t.Fatalf("window of %d: folded up to %d, want %d", window, next, base)
+			}
+		}
+	}
+	if n := len(r.buf); n < 300 || n&(n-1) != 0 {
+		t.Fatalf("ring buffer length %d, want a power of two >= 300", n)
+	}
+}
