@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"prunesim/internal/task"
 )
 
@@ -20,35 +22,19 @@ func (*FCFSRR) Name() string { return "FCFS-RR" }
 
 // Map implements Batch.
 func (f *FCFSRR) Map(ctx *Context, unmapped []*task.Task) []Assignment {
-	v := newVirtualState(ctx)
 	// Task IDs are arrival order (and exact as float64 keys).
-	order := v.sortPositions(unmapped, func(t *task.Task) float64 { return float64(t.ID) })
-	n := len(ctx.Machines)
-	out := ctx.AssignBuf[:0]
-	for _, i := range order {
-		if v.total <= 0 {
-			break
-		}
-		// Find the next machine in cyclic order with a free slot.
-		t, assigned := unmapped[i], false
+	byArrival := func(_ *Context, _ *virtualState, t *task.Task) float64 { return float64(t.ID) }
+	return assignSorted(ctx, unmapped, byArrival, func(ctx *Context, v *virtualState, _ *task.Task) int {
+		// The next machine in cyclic order with a free slot.
+		n := len(ctx.Machines)
 		for probe := 0; probe < n; probe++ {
-			j := (f.next + probe) % n
-			if v.free[j] > 0 {
-				out = append(out, Assignment{Task: t, Machine: j})
-				v.assign(ctx, t, j)
-				v.chosenStamp[i] = v.round
+			if j := (f.next + probe) % n; v.free[j] > 0 {
 				f.next = (j + 1) % n
-				assigned = true
-				break
+				return j
 			}
 		}
-		if !assigned {
-			break
-		}
-	}
-	v.compact(unmapped)
-	ctx.AssignBuf = out
-	return out
+		return -1
+	})
 }
 
 // EDF is Earliest Deadline First: the arrival queue is sorted by deadline,
@@ -64,7 +50,8 @@ func (*EDF) Name() string { return "EDF" }
 
 // Map implements Batch.
 func (*EDF) Map(ctx *Context, unmapped []*task.Task) []Assignment {
-	return assignSorted(ctx, unmapped, func(_ *virtualState, t *task.Task) float64 { return t.Deadline })
+	byDeadline := func(_ *Context, _ *virtualState, t *task.Task) float64 { return t.Deadline }
+	return assignSorted(ctx, unmapped, byDeadline, minCompletion)
 }
 
 // SJF is Shortest Job First: the arrival queue is sorted by expected
@@ -82,22 +69,52 @@ func (*SJF) Name() string { return "SJF" }
 func (*SJF) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 	// On a homogeneous system the expected execution time is
 	// machine-independent; use machine 0's column.
-	return assignSorted(ctx, unmapped, func(v *virtualState, t *task.Task) float64 { return v.typeMean(ctx, t.Type) })
+	byMean := func(ctx *Context, v *virtualState, t *task.Task) float64 { return v.typeMean(ctx, t.Type) }
+	return assignSorted(ctx, unmapped, byMean, minCompletion)
 }
 
-// assignSorted maps tasks in ascending key order (ties in queue order),
-// each to the machine with the minimum expected completion time, until
-// slots run out.
-func assignSorted(ctx *Context, unmapped []*task.Task, key func(v *virtualState, t *task.Task) float64) []Assignment {
+// minCompletion picks the machine with the minimum expected completion
+// time for t, or -1 if none has a free slot.
+func minCompletion(ctx *Context, v *virtualState, t *task.Task) int {
+	j, _ := v.bestMachine(ctx, t)
+	return j
+}
+
+// assignSorted maps tasks in ascending key order, ties in queue order (the
+// order sort.SliceStable gives), each to the machine pick returns, until
+// slots run out or pick returns -1. It sorts a permutation of positions,
+// stamps the positions it assigns and compacts the rest to the front of
+// unmapped (the Batch contract).
+func assignSorted(ctx *Context, unmapped []*task.Task,
+	key func(ctx *Context, v *virtualState, t *task.Task) float64,
+	pick func(ctx *Context, v *virtualState, t *task.Task) int) []Assignment {
+
 	v := newVirtualState(ctx)
-	order := v.sortPositions(unmapped, func(t *task.Task) float64 { return key(v, t) })
+	n := len(unmapped)
+	v.order = slices.Grow(v.order[:0], n)[:n]
+	v.keys = slices.Grow(v.keys[:0], n)[:n]
+	v.chosenStamp = slices.Grow(v.chosenStamp[:0], n)[:n]
+	v.round++
+	for i, t := range unmapped {
+		v.order[i], v.keys[i] = int32(i), key(ctx, v, t)
+	}
+	keys := v.keys
+	slices.SortFunc(v.order, func(a, b int32) int {
+		switch {
+		case keys[a] < keys[b]:
+			return -1
+		case keys[b] < keys[a]:
+			return 1
+		}
+		return int(a - b)
+	})
 	out := ctx.AssignBuf[:0]
-	for _, i := range order {
+	for _, i := range v.order {
 		if v.total <= 0 {
 			break
 		}
 		t := unmapped[i]
-		j, _ := v.bestMachine(ctx, t)
+		j := pick(ctx, v, t)
 		if j < 0 {
 			break
 		}
@@ -105,7 +122,12 @@ func assignSorted(ctx *Context, unmapped []*task.Task, key func(v *virtualState,
 		v.assign(ctx, t, j)
 		v.chosenStamp[i] = v.round
 	}
-	v.compact(unmapped)
+	kept := unmapped[:0]
+	for i, t := range unmapped {
+		if v.chosenStamp[i] != v.round {
+			kept = append(kept, t)
+		}
+	}
 	ctx.AssignBuf = out
 	return out
 }

@@ -136,8 +136,9 @@ type virtualState struct {
 	chosenStamp []int64
 	round       int64
 
-	// order and keys are sortPositions' permutation and per-position sort
-	// keys; means caches MeanExec(type, 0) for SJF (NaN: not read yet).
+	// order and keys are assignSorted's permutation of positions and
+	// per-position sort keys; means caches MeanExec(type, 0) for SJF (NaN:
+	// not read yet).
 	order []int32
 	keys  []float64
 	means []float64
@@ -192,43 +193,6 @@ func (v *virtualState) roundBuffers(nMachines, nTasks int) {
 	v.picks = slices.Grow(v.picks[:0], nMachines)[:nMachines]
 	v.chosenMach = slices.Grow(v.chosenMach[:0], nTasks)[:nTasks]
 	v.chosenStamp = slices.Grow(v.chosenStamp[:0], nTasks)[:nTasks]
-}
-
-// sortPositions returns the positions of ts in ascending key order, ties
-// in position order: the order sort.SliceStable would put ts itself in.
-// It also starts a new round and sizes chosenStamp for ts, so the caller
-// can stamp the positions it assigns and hand them to compact.
-func (v *virtualState) sortPositions(ts []*task.Task, key func(*task.Task) float64) []int32 {
-	n := len(ts)
-	v.order = slices.Grow(v.order[:0], n)[:n]
-	v.keys = slices.Grow(v.keys[:0], n)[:n]
-	v.chosenStamp = slices.Grow(v.chosenStamp[:0], n)[:n]
-	v.round++
-	for i, t := range ts {
-		v.order[i], v.keys[i] = int32(i), key(t)
-	}
-	keys := v.keys
-	slices.SortFunc(v.order, func(a, b int32) int {
-		switch ka, kb := keys[a], keys[b]; {
-		case ka < kb:
-			return -1
-		case kb < ka:
-			return 1
-		}
-		return int(a - b)
-	})
-	return v.order
-}
-
-// compact moves the tasks of ts whose positions are not stamped with the
-// current round to its front, in order (the Batch contract).
-func (v *virtualState) compact(ts []*task.Task) {
-	kept := ts[:0]
-	for i, t := range ts {
-		if v.chosenStamp[i] != v.round {
-			kept = append(kept, t)
-		}
-	}
 }
 
 // typeMean returns MeanExec(typ, 0), reading it once per type: MeanExec is
