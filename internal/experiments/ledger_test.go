@@ -5,14 +5,18 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"prunesim/internal/admission"
+	"prunesim/internal/randx"
 	"prunesim/internal/scenario"
 	"prunesim/internal/sched"
 	"prunesim/internal/sim"
+	"prunesim/internal/workload"
 )
 
 var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.json from this run")
@@ -101,7 +105,124 @@ func ledgerEntries(t *testing.T) map[string]string {
 		}
 		add("heuristic/"+name, out.Results)
 	}
+
+	// One seeded admission decision stream per immediate heuristic, with
+	// pruning on and off, pins the online path the simulator does not run.
+	for _, name := range sched.Names() {
+		if _, immediate, _ := sched.ByName(name); !immediate {
+			continue
+		}
+		for _, prune := range []bool{true, false} {
+			d, err := admissionStream(name, prune, opt.Seed)
+			if err != nil {
+				t.Fatalf("admission %s (prune %v): %v", name, prune, err)
+			}
+			got[fmt.Sprintf("admission/%s/prune=%v", name, prune)] = d
+		}
+	}
 	return got
+}
+
+// admissionStream replays one seeded arrival trace (about 2000 tasks at the
+// paper's default density) through an admission session: a decide per
+// arrival at its arrival time, and a complete per started task once a
+// duration drawn from its PET has passed. It returns the FNV-64a digest
+// of the JSON of every Decision and Completion, in order.
+func admissionStream(heuristic string, prune bool, seed uint64) (string, error) {
+	p := scenario.Platform{Heuristic: heuristic}.WithDefaults()
+	m, err := p.BuildMatrix()
+	if err != nil {
+		return "", err
+	}
+	pc, err := scenario.Prune{Enabled: prune}.WithDefaults().CoreConfig(m.NumTaskTypes())
+	if err != nil {
+		return "", err
+	}
+	machineTypes := p.MachineTypes(m)
+	sess, err := admission.NewSession(admission.Config{
+		Matrix: m, MachineTypes: machineTypes, Heuristic: heuristic, Slots: p.Slots, Prune: pc,
+	})
+	if err != nil {
+		return "", err
+	}
+	const tasks = 2000
+	wc := workload.DefaultConfig(tasks)
+	wc.TimeSpan, wc.NumSpikes, wc.Seed = tasks/5, tasks*8/15000, seed
+	src, err := workload.NewSource(m, wc)
+	if err != nil {
+		return "", err
+	}
+
+	h := fnv.New64a()
+	record := func(v any) error {
+		data, err := json.Marshal(v)
+		h.Write(data)
+		return err
+	}
+	type placed struct{ typ, machine int }
+	live := map[int]placed{}
+	type finish struct {
+		at float64
+		id int
+	}
+	var running []finish // at most one per machine
+	rng := randx.New(0)
+	start := func(id int, now float64) {
+		rng.SplitInto(seed, uint64(id))
+		pl := live[id]
+		running = append(running, finish{now + m.PET(pl.typ, machineTypes[pl.machine]).Sample(rng), id})
+	}
+	// completeUntil completes, in (time, ID) order, every running task
+	// that finishes by until.
+	completeUntil := func(until float64) error {
+		for {
+			k := -1
+			for i, f := range running {
+				if f.at <= until && (k < 0 || f.at < running[k].at || f.at == running[k].at && f.id < running[k].id) {
+					k = i
+				}
+			}
+			if k < 0 {
+				return nil
+			}
+			f := running[k]
+			running = slices.Delete(running, k, k+1)
+			c, err := sess.Complete(f.id, f.at)
+			if err != nil {
+				return err
+			}
+			if err := record(c); err != nil {
+				return err
+			}
+			delete(live, f.id)
+			for _, id := range c.Started {
+				start(id, f.at)
+			}
+		}
+	}
+	for t, ok := src.Next(); ok; t, ok = src.Next() {
+		if err := completeUntil(t.Arrival); err != nil {
+			return "", err
+		}
+		d, err := sess.Decide(admission.TaskSpec{Type: t.Type, Deadline: t.Deadline}, t.Arrival)
+		if err != nil {
+			return "", err
+		}
+		if err := record(d); err != nil {
+			return "", err
+		}
+		if d.Verdict == admission.VerdictAccept {
+			live[d.TaskID] = placed{t.Type, d.Machine}
+			if d.Started {
+				start(d.TaskID, t.Arrival)
+			}
+		}
+		src.Recycle(t)
+	}
+	if err := completeUntil(math.Inf(1)); err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
 // TestResultLedger pins absolute results: every other result check in the

@@ -70,7 +70,7 @@ type errorEnvelope struct {
 
 // writeError writes the envelope with the given HTTP status.
 func writeError(w http.ResponseWriter, status int, body ErrorBody) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(errorEnvelope{Error: body})
 }

@@ -345,9 +345,14 @@ type SubmitRequest struct {
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 }
 
+// jsonContentType is the Content-Type value of every JSON answer, shared
+// so that setting it allocates nothing. Its len equals its cap, so a later
+// Header.Add copies it instead of writing into it.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON answers v as compact JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }

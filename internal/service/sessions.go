@@ -1,10 +1,8 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -42,6 +40,7 @@ type sessionCreated struct {
 type decideRequest struct {
 	admission.TaskSpec
 	Now *float64 `json:"now,omitempty"`
+	now float64  // backs Now when decodeNumbers parses the body
 }
 
 // decideBatchRequest is the POST /v1/sessions/{id}/decide/batch body. The
@@ -55,6 +54,7 @@ type decideBatchRequest struct {
 type completeRequest struct {
 	TaskID int      `json:"task_id"`
 	Now    *float64 `json:"now,omitempty"`
+	now    float64  // backs Now when decodeNumbers parses the body
 }
 
 // decideResponse wraps a Decision with its session.
@@ -63,44 +63,35 @@ type decideResponse struct {
 	admission.Decision
 }
 
-// decodeBody strictly decodes a JSON request body into v: unknown fields
-// and anything but whitespace after the one JSON value are rejected.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		err = onlySpace(dec.Buffered())
+// The number bodies' members, in the order their set methods number them.
+var (
+	decideMembers       = []numberMember{{"type", true}, {"deadline", false}, {"value", false}, {"now", false}}
+	completeMembers     = []numberMember{{"task_id", true}, {"now", false}}
+	machineEventMembers = []numberMember{{"now", false}}
+)
+
+func (r *decideRequest) members() []numberMember { return decideMembers }
+
+func (r *decideRequest) set(i int, n int64, f float64) {
+	switch i {
+	case 0:
+		r.Type = int(n)
+	case 1:
+		r.Deadline = f
+	case 2:
+		r.Value = f
+	case 3:
+		r.now, r.Now = f, &r.now
 	}
-	if err == nil {
-		err = onlySpace(body)
-	}
-	if err != nil {
-		apiError(w, http.StatusBadRequest, CodeInvalidRequest, "decoding request: %v", err)
-		return false
-	}
-	return true
 }
 
-// onlySpace reads r to its end and fails unless all it held was JSON
-// whitespace. Decoder.Token would answer the same question, but when a
-// newline follows the value it grows the decoder's buffer by 1.5 KB.
-func onlySpace(r io.Reader) error {
-	var buf [16]byte
-	for {
-		n, err := r.Read(buf[:])
-		for _, c := range buf[:n] {
-			if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
-				return errors.New("trailing data after the JSON value")
-			}
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+func (r *completeRequest) members() []numberMember { return completeMembers }
+
+func (r *completeRequest) set(i int, n int64, f float64) {
+	if i == 0 {
+		r.TaskID = int(n)
+	} else {
+		r.now, r.Now = f, &r.now
 	}
 }
 
@@ -318,7 +309,12 @@ func (s *Server) handleSessionComplete(w http.ResponseWriter, r *http.Request) {
 // machineEventRequest is the body of fail (optional, for "now").
 type machineEventRequest struct {
 	Now *float64 `json:"now,omitempty"`
+	now float64  // backs Now when decodeNumbers parses the body
 }
+
+func (r *machineEventRequest) members() []numberMember { return machineEventMembers }
+
+func (r *machineEventRequest) set(_ int, _ int64, f float64) { r.now, r.Now = f, &r.now }
 
 // sessionMachine parses the {machine} path value, answering a malformed
 // index with the envelope.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"math"
 	"net/http"
 	"strconv"
@@ -10,14 +9,12 @@ import (
 	"prunesim/internal/tenant"
 )
 
-// tenantKey is the request-context key the tenancy middleware stashes the
-// resolved tenant under.
-type tenantKey struct{}
-
 // withTenant is the tenancy middleware applied uniformly to every /v1
 // route (the route registry wraps handlers in Handler, so an endpoint
 // cannot be added without being covered): resolve the API key, spend one
-// token from the tenant's bucket, then pass the tenant down via context.
+// token from the tenant's bucket, then pass the request on unchanged. A
+// handler that needs the tenant resolves it again (requestTenant); only
+// job submission does, so no other request pays for a context copy.
 //
 // The two refusals here are per-tenant and deliberately distinct from the
 // queue's global backpressure: an unknown key is 401 unauthorized, an
@@ -39,7 +36,7 @@ func (s *Server) withTenant(next http.HandlerFunc) http.HandlerFunc {
 				tn.Name(), tn.Limits().RateQPS)
 			return
 		}
-		next(w, r.WithContext(context.WithValue(r.Context(), tenantKey{}, tn)))
+		next(w, r)
 	}
 }
 
@@ -53,11 +50,12 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// requestTenant returns the tenant the middleware resolved for this
-// request, falling back to the anonymous tenant (programmatic callers and
-// tests invoking handlers directly).
+// requestTenant resolves the request's API key to the tenant the
+// middleware charged, falling back to the anonymous tenant for a key it
+// does not know (programmatic callers and tests invoking handlers
+// directly).
 func (s *Server) requestTenant(r *http.Request) *tenant.Tenant {
-	if tn, ok := r.Context().Value(tenantKey{}).(*tenant.Tenant); ok {
+	if tn, ok := s.tenants.Resolve(tenant.Key(r)); ok {
 		return tn
 	}
 	return s.tenants.Anonymous()
