@@ -103,7 +103,7 @@ type numberMember struct {
 }
 
 // numberBody is a request body whose members are all numbers (decide,
-// complete, machine fail), so decodeNumbers can parse it.
+// complete), so decodeNumbers can parse it.
 type numberBody interface {
 	// members lists the body's JSON members, at most four.
 	members() []numberMember

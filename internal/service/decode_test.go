@@ -12,7 +12,6 @@ import (
 var numberBodies = []func() numberBody{
 	func() numberBody { return new(decideRequest) },
 	func() numberBody { return new(completeRequest) },
-	func() numberBody { return new(machineEventRequest) },
 }
 
 // numberValue flattens a number body into comparable values: every
@@ -29,8 +28,6 @@ func numberValue(v numberBody) []any {
 		return []any{r.Type, math.Float64bits(r.Deadline), math.Float64bits(r.Value), now(r.Now)}
 	case *completeRequest:
 		return []any{r.TaskID, now(r.Now)}
-	case *machineEventRequest:
-		return []any{now(r.Now)}
 	}
 	panic("unknown number body")
 }

@@ -65,9 +65,8 @@ type decideResponse struct {
 
 // The number bodies' members, in the order their set methods number them.
 var (
-	decideMembers       = []numberMember{{"type", true}, {"deadline", false}, {"value", false}, {"now", false}}
-	completeMembers     = []numberMember{{"task_id", true}, {"now", false}}
-	machineEventMembers = []numberMember{{"now", false}}
+	decideMembers   = []numberMember{{"type", true}, {"deadline", false}, {"value", false}, {"now", false}}
+	completeMembers = []numberMember{{"task_id", true}, {"now", false}}
 )
 
 func (r *decideRequest) members() []numberMember { return decideMembers }
@@ -309,12 +308,7 @@ func (s *Server) handleSessionComplete(w http.ResponseWriter, r *http.Request) {
 // machineEventRequest is the body of fail (optional, for "now").
 type machineEventRequest struct {
 	Now *float64 `json:"now,omitempty"`
-	now float64  // backs Now when decodeNumbers parses the body
 }
-
-func (r *machineEventRequest) members() []numberMember { return machineEventMembers }
-
-func (r *machineEventRequest) set(_ int, _ int64, f float64) { r.now, r.Now = f, &r.now }
 
 // sessionMachine parses the {machine} path value, answering a malformed
 // index with the envelope.
