@@ -174,42 +174,48 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.forward(rt.shardForSubmit(body), w, r)
 }
 
-// shardForSubmit computes the submission's target shard, falling back to
-// shard 0 when the body does not resolve to a hashable scenario.
+// shardForSubmit computes the submission's target shard in one JSON
+// pass: decode the body straight into a scenario and route by its Hash,
+// which normalizes it. Every body a shard accepts routes to the shard
+// that owns its hash. A body no shard accepts may route to any shard,
+// whose validation answers: one with unknown fields routes by the
+// scenario the rest of it decodes to, and one that does not decode,
+// resolve or hash routes to shard 0.
 func (rt *Router) shardForSubmit(body []byte) int {
 	var req struct {
-		Name     string          `json:"name"`
-		Scenario json.RawMessage `json:"scenario"`
+		Name     string         `json:"name"`
+		Scenario submitScenario `json:"scenario"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		return 0
 	}
-	var sc scenario.Scenario
-	switch {
-	case req.Name != "":
+	sc := req.Scenario.sc
+	if req.Name != "" {
 		lib, ok := rt.library[req.Name]
 		if !ok {
 			return 0
 		}
-		sc = lib
-	case req.Scenario != nil:
-		parsed, err := scenario.Parse(req.Scenario)
-		if err != nil {
-			return 0
-		}
-		sc = parsed
-	default:
+		sc = &lib
+	}
+	if sc == nil {
 		return 0
 	}
-	norm, err := sc.Normalize()
-	if err != nil {
-		return 0
-	}
-	hash, err := norm.Hash()
+	hash, err := sc.Hash()
 	if err != nil {
 		return 0
 	}
 	return For(hash, len(rt.backends))
+}
+
+// submitScenario is the scenario member of a submit body. Each occurrence
+// decodes into a fresh scenario, so a repeated member replaces the one
+// before it, as it does in the shard's own decode, instead of merging
+// into it.
+type submitScenario struct{ sc *scenario.Scenario }
+
+func (s *submitScenario) UnmarshalJSON(data []byte) error {
+	s.sc = new(scenario.Scenario)
+	return json.Unmarshal(data, s.sc)
 }
 
 // byID routes any ID-addressed call (job status, SSE events, timeline,
@@ -236,8 +242,9 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // credentialHeaders carry a caller's API key (see internal/tenant); list
-// fan-outs forward them so each shard answers as that tenant.
-var credentialHeaders = []string{"Authorization", "X-API-Key"}
+// fan-outs forward them so each shard answers as that tenant. The names
+// are canonical, so looking them up builds no canonical copy.
+var credentialHeaders = []string{"Authorization", "X-Api-Key"}
 
 // fanout GETs path on every shard with the caller's credentials and
 // hands each body to merge. The first shard that refuses the caller (4xx)

@@ -9,8 +9,8 @@ import (
 )
 
 // BenchmarkStoreDiskGet measures the disk cache-hit path the daemon pays
-// on every resubmitted sweep: read + JSON-decode one committed entry.
-// Gated in BENCH_baseline.json by the CI bench-regression job.
+// on every resubmitted sweep: a Get of an entry the store has kept since
+// its Put. Gated in BENCH_baseline.json by the CI bench-regression job.
 func BenchmarkStoreDiskGet(b *testing.B) {
 	s, err := store.OpenDisk(b.TempDir())
 	if err != nil {
@@ -24,6 +24,31 @@ func BenchmarkStoreDiskGet(b *testing.B) {
 		if _, ok := s.Get("deadbeef"); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// BenchmarkStoreDiskGetCold measures the first hit on an entry after a
+// restart: open a fresh Disk over one committed entry, then read and
+// JSON-decode it in one Get.
+func BenchmarkStoreDiskGetCold(b *testing.B) {
+	dir := b.TempDir()
+	s, err := store.OpenDisk(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Put("deadbeef", conformance.Outcome(1))
+	s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := store.OpenDisk(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := s.Get("deadbeef"); !ok {
+			b.Fatal("miss")
+		}
+		s.Close()
 	}
 }
 

@@ -33,11 +33,20 @@ const (
 // restarted daemon answers Get for every sweep the previous process
 // committed; entry bodies are decoded on first Get, and a corrupt body is
 // moved to the quarantine subdirectory and reported as a miss.
+//
+// The index keeps every outcome the store has decoded or written, so a
+// warm Get is a map lookup and reads no file. Kept outcomes are shared
+// like Memory's; wrap the store in an LRU to bound them along with the
+// directory.
 type Disk struct {
 	dir string
 
-	mu          sync.RWMutex
-	index       map[string]struct{}
+	// mu guards the index and orders every file rename and removal
+	// against it, so a kept outcome always matches the committed file.
+	mu sync.RWMutex
+	// index maps each committed key to its kept outcome; nil means the
+	// entry is on disk and not yet decoded.
+	index       map[string]*scenario.Outcome
 	closed      bool
 	quarantined int
 	dropped     int // Put calls that failed to persist (best-effort)
@@ -53,7 +62,7 @@ func OpenDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: disk: %w", err)
 	}
-	d := &Disk{dir: dir, index: make(map[string]struct{})}
+	d := &Disk{dir: dir, index: make(map[string]*scenario.Outcome)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: disk: %w", err)
@@ -71,7 +80,7 @@ func OpenDisk(dir string) (*Disk, error) {
 		case strings.HasSuffix(name, entryExt):
 			key := strings.TrimSuffix(name, entryExt)
 			if ValidKey(key) {
-				d.index[key] = struct{}{}
+				d.index[key] = nil
 			}
 		}
 	}
@@ -86,55 +95,66 @@ func (d *Disk) path(key string) string {
 	return filepath.Join(d.dir, key+entryExt)
 }
 
-// Get implements Store. A present-but-corrupt entry is quarantined and
+// Get implements Store. The first Get of an entry decodes its file and
+// keeps the outcome; a present-but-corrupt entry is quarantined and
 // reported as a miss, so the caller recomputes and the next Put repairs
 // the cache.
 func (d *Disk) Get(key string) (*scenario.Outcome, bool) {
 	d.mu.RLock()
-	_, ok := d.index[key]
+	o, ok := d.index[key]
 	closed := d.closed
 	d.mu.RUnlock()
 	if !ok || closed {
 		return nil, false
 	}
-	data, err := os.ReadFile(d.path(key))
-	if err != nil {
-		// Deleted or unreadable behind our back; drop it from the index.
-		d.drop(key)
-		return nil, false
+	if o != nil {
+		return o, true
 	}
-	var o scenario.Outcome
-	if err := json.Unmarshal(data, &o); err != nil {
-		d.quarantine(key)
-		return nil, false
+	data, readErr := os.ReadFile(d.path(key))
+	var decoded scenario.Outcome
+	var decodeErr error
+	if readErr == nil {
+		decodeErr = json.Unmarshal(data, &decoded)
 	}
-	return &o, true
-}
-
-// drop removes a key from the index only.
-func (d *Disk) drop(key string) {
 	d.mu.Lock()
-	delete(d.index, key)
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	// Only an entry that is still undecoded holds the file just read: a
+	// Put since then has kept its own outcome, and a Delete removed it.
+	o, ok = d.index[key]
+	switch {
+	case !ok:
+		return nil, false
+	case o != nil:
+		return o, true
+	case readErr != nil:
+		// Deleted or unreadable behind our back; drop it from the index.
+		delete(d.index, key)
+		return nil, false
+	case decodeErr != nil:
+		d.quarantineLocked(key)
+		return nil, false
+	}
+	d.index[key] = &decoded
+	return &decoded, true
 }
 
-// quarantine moves a corrupt entry aside and forgets it.
-func (d *Disk) quarantine(key string) {
+// quarantineLocked moves a corrupt entry aside and forgets it; caller
+// holds d.mu.
+func (d *Disk) quarantineLocked(key string) {
 	qdir := filepath.Join(d.dir, quarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err == nil {
 		os.Rename(d.path(key), filepath.Join(qdir, key+entryExt))
 	} else {
 		os.Remove(d.path(key))
 	}
-	d.mu.Lock()
 	delete(d.index, key)
 	d.quarantined++
-	d.mu.Unlock()
 }
 
 // Put implements Store. The entry is written to a temp file and renamed
 // into place, so concurrent readers (and any process that kills this one
 // mid-write) see either the old entry or the new one, never a torn file.
+// Once the rename commits the file, the store keeps o itself.
 func (d *Disk) Put(key string, o *scenario.Outcome) {
 	if !ValidKey(key) {
 		d.recordDrop()
@@ -175,14 +195,14 @@ func (d *Disk) Put(key string, o *scenario.Outcome) {
 		d.recordDrop()
 		return
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err := os.Rename(tmp.Name(), d.path(key)); err != nil {
 		os.Remove(tmp.Name())
-		d.recordDrop()
+		d.dropped++
 		return
 	}
-	d.mu.Lock()
-	d.index[key] = struct{}{}
-	d.mu.Unlock()
+	d.index[key] = o
 }
 
 // recordDrop counts a best-effort Put that failed to persist.
@@ -192,12 +212,12 @@ func (d *Disk) recordDrop() {
 	d.mu.Unlock()
 }
 
-// Delete implements Store.
+// Delete implements Store, dropping the kept outcome with the file.
 func (d *Disk) Delete(key string) bool {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	_, ok := d.index[key]
 	delete(d.index, key)
-	d.mu.Unlock()
 	if ok {
 		os.Remove(d.path(key))
 	}

@@ -5,8 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
+	"prunesim/internal/scenario"
 	"prunesim/internal/store"
 	"prunesim/internal/store/conformance"
 )
@@ -225,5 +227,194 @@ func TestLRUAdoptsExistingEntries(t *testing.T) {
 	}
 	if n := reopened.Len(); n != 3 {
 		t.Errorf("inner Len after adoption trim = %d, want 3", n)
+	}
+}
+
+// openDisk opens a disk store over dir, closed when the test ends.
+func openDisk(t *testing.T, dir string) *store.Disk {
+	t.Helper()
+	s, err := store.OpenDisk(dir)
+	if err != nil {
+		t.Fatalf("OpenDisk(%s): %v", dir, err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// TestDiskKeepsOutcomes proves a Put, or a first Get, leaves the outcome
+// in memory: later Gets read no file, so removing or corrupting the file
+// behind the store changes no answer and quarantines nothing.
+func TestDiskKeepsOutcomes(t *testing.T) {
+	for _, damage := range []string{"remove", "corrupt"} {
+		t.Run(damage, func(t *testing.T) {
+			dir := t.TempDir()
+			spoil := func(key string) {
+				path := filepath.Join(dir, key+".json")
+				var err error
+				if damage == "remove" {
+					err = os.Remove(path)
+				} else {
+					err = os.WriteFile(path, []byte("{not json"), 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := openDisk(t, dir)
+			put := conformance.Outcome(1)
+			s.Put("put", put)
+			s.Put("read", conformance.Outcome(2))
+			s.Close()
+
+			s = openDisk(t, dir)
+			put2 := conformance.Outcome(3)
+			s.Put("put", put2)
+			read, ok := s.Get("read")
+			if !ok {
+				t.Fatal("first Get of a reopened entry missed")
+			}
+			spoil("put")
+			spoil("read")
+			for key, want := range map[string]*scenario.Outcome{"put": put2, "read": read} {
+				if got, ok := s.Get(key); !ok || got != want {
+					t.Errorf("Get(%q) after the file was spoiled = %p, %v; want the kept %p", key, got, ok, want)
+				}
+			}
+			if q, _ := s.Stats(); q != 0 {
+				t.Errorf("quarantined %d entries, want 0", q)
+			}
+		})
+	}
+}
+
+// TestDiskDecodesOnFirstGet proves a reopened store reads an entry's file
+// on its first Get, not at open: a file rewritten between the two is the
+// one Get answers with.
+func TestDiskDecodesOnFirstGet(t *testing.T) {
+	dir := t.TempDir()
+	s := openDisk(t, dir)
+	s.Put("k", conformance.Outcome(1))
+	s.Close()
+
+	s = openDisk(t, dir)
+	want := conformance.Outcome(2)
+	data, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "k.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Get("k")
+	if !ok {
+		t.Fatal("first Get missed")
+	}
+	if gotData, _ := json.Marshal(got); string(gotData) != string(data) {
+		t.Errorf("first Get = %s, want the file's %s", gotData, data)
+	}
+	if again, _ := s.Get("k"); again != got {
+		t.Error("second Get decoded again instead of returning the kept outcome")
+	}
+}
+
+// TestDiskDeleteDropsKept proves Delete forgets a kept outcome, whether a
+// Put or a first Get kept it.
+func TestDiskDeleteDropsKept(t *testing.T) {
+	dir := t.TempDir()
+	s := openDisk(t, dir)
+	s.Put("read", conformance.Outcome(1))
+	s.Close()
+	s = openDisk(t, dir)
+	if _, ok := s.Get("read"); !ok {
+		t.Fatal("first Get missed")
+	}
+	s.Put("put", conformance.Outcome(2))
+	for _, key := range []string{"read", "put"} {
+		if !s.Delete(key) {
+			t.Errorf("Delete(%q) = false", key)
+		}
+		if _, ok := s.Get(key); ok {
+			t.Errorf("Get(%q) hit after Delete", key)
+		}
+		if _, err := os.Stat(filepath.Join(dir, key+".json")); !os.IsNotExist(err) {
+			t.Errorf("Delete(%q) left its file (stat err %v)", key, err)
+		}
+	}
+}
+
+// TestLRUBoundsDisk proves an LRU over Disk keeps at most its cap of
+// entries, on disk and in memory: an evicted key misses through the
+// wrapper and in the disk store beneath it.
+func TestLRUBoundsDisk(t *testing.T) {
+	const max = 3
+	dir := t.TempDir()
+	d := openDisk(t, dir)
+	l := store.NewLRU(d, max)
+	keys := []string{"a", "b", "c", "d", "e", "f", "g"}
+	for i, k := range keys {
+		l.Put(k, conformance.Outcome(i))
+		if n, m := l.Len(), d.Len(); n > max || m > max {
+			t.Fatalf("after %d Puts: LRU Len %d, disk Len %d; want at most %d", i+1, n, m, max)
+		}
+	}
+	for i, k := range keys {
+		_, inLRU := l.Get(k)
+		_, onDisk := d.Get(k)
+		if evicted := i < len(keys)-max; evicted && (inLRU || onDisk) {
+			t.Errorf("evicted %q still hits (LRU %v, disk %v)", k, inLRU, onDisk)
+		} else if !evicted && !(inLRU && onDisk) {
+			t.Errorf("kept %q missed (LRU %v, disk %v)", k, inLRU, onDisk)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) != max {
+		t.Errorf("%d entry files on disk, want %d (err %v)", len(files), max, err)
+	}
+}
+
+// TestDiskConcurrentOneKey races first-Get decodes of a reopened entry
+// against Puts and Deletes of the same key. Run under -race. The reopened
+// entry is large, so its decode is still running when the Puts commit;
+// the last Put must win all the same, in memory and on disk: no Get that
+// read an older file may install its decode over a newer Put.
+func TestDiskConcurrentOneKey(t *testing.T) {
+	dir := t.TempDir()
+	big := conformance.Outcome(0)
+	for len(big.Results) < 2000 {
+		big.Results = append(big.Results, big.Results...)
+	}
+	for round := 0; round < 3; round++ {
+		s := openDisk(t, dir)
+		s.Put("k", big)
+		s.Close()
+
+		s = openDisk(t, dir)
+		last := conformance.Outcome(round + 1)
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					s.Get("k")
+				}
+			}()
+		}
+		s.Put("k", conformance.Outcome(100))
+		s.Delete("k")
+		s.Put("k", last)
+		wg.Wait()
+		if got, ok := s.Get("k"); !ok || got != last {
+			t.Fatalf("round %d: Get after the race = %p, %v; want the last Put's %p", round, got, ok, last)
+		}
+		s.Close()
+
+		reopened := openDisk(t, dir)
+		got, ok := reopened.Get("k")
+		want, _ := json.Marshal(last)
+		if gotData, _ := json.Marshal(got); !ok || string(gotData) != string(want) {
+			t.Fatalf("round %d: reopened entry = %s, %v; want the last Put's %s", round, gotData, ok, want)
+		}
+		reopened.Close()
 	}
 }

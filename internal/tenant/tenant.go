@@ -116,6 +116,8 @@ func LoadKeyfile(path string) (Config, error) {
 
 // Key extracts the API key a request presents: the Bearer token of the
 // Authorization header, or the X-API-Key header. Empty means anonymous.
+// Both lookups use the canonical header spelling, which Header.Get finds
+// without building a canonical copy of the name.
 func Key(r *http.Request) string {
 	if auth := r.Header.Get("Authorization"); auth != "" {
 		if k, ok := strings.CutPrefix(auth, "Bearer "); ok {
@@ -123,7 +125,7 @@ func Key(r *http.Request) string {
 		}
 		return strings.TrimSpace(auth)
 	}
-	return strings.TrimSpace(r.Header.Get("X-API-Key"))
+	return strings.TrimSpace(r.Header.Get("X-Api-Key"))
 }
 
 // Registry resolves API keys to tenants and runs the shared accounting

@@ -289,6 +289,15 @@ func TestKeyExtraction(t *testing.T) {
 	}
 }
 
+// TestKeyAllocatesNothing wants an anonymous request's key lookup, which
+// every /v1 request makes, to allocate nothing.
+func TestKeyAllocatesNothing(t *testing.T) {
+	req := httptest.NewRequest("GET", "/v1/jobs", nil)
+	if n := testing.AllocsPerRun(100, func() { Key(req) }); n != 0 {
+		t.Errorf("Key on a keyless request: %v allocs, want 0", n)
+	}
+}
+
 func TestRedact(t *testing.T) {
 	if got := redact("ab"); got != "key-****" {
 		t.Errorf("redact(short) = %q", got)
