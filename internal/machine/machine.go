@@ -321,12 +321,17 @@ func (m *Machine) reconvolve(start int, prev *pmf.PMF) {
 }
 
 // refreshIfStale rebuilds the stale suffix pending[validTo:]. A rebuild
-// from the head uses the anchor chainKey names, as of chainAt; with no
-// explicit anchor it falls back to the running task's completion
-// distribution unconditioned (or, on an idle machine, a point mass at the
-// head's arrival). Callers that need "as of now" precision should call
-// RefreshPCTs(now) explicitly; the fallback anchor is correct immediately
-// after the start or completion event that invalidated the chain.
+// from the head uses the anchor chainKey names, as of chainAt. With no
+// explicit anchor (after Complete, SetPET, SetTailEps or Fail) it falls
+// back to the running task's completion distribution as of its start, or,
+// on an idle machine, a point mass at the head's arrival; neither is
+// conditioned on the current time. The idle case is a modelling
+// deviation: after a Complete at time now the head cannot start before
+// now, yet its PCT starts at its arrival, so the reads before the next
+// StartNext (the mapping event's DropPending sweep, batch deferral
+// checks) see chances that are too high. ROADMAP lists the fix, which
+// changes results. Callers that need "as of now" precision call
+// RefreshPCTs(now).
 func (m *Machine) refreshIfStale() {
 	if m.validTo >= len(m.pending) {
 		return

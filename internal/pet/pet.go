@@ -200,3 +200,18 @@ func (m *Matrix) TaskAvg(t int) float64 { return m.taskAvg[t] }
 // AvgAll returns the grand mean execution time over all task types
 // (avg_all in the deadline formula, Eq. 4).
 func (m *Matrix) AvgAll() float64 { return m.avgAll }
+
+// RetainedBytes estimates the heap the matrix holds: per cell, the PMF's
+// bins plus a fixed overhead for its header, the pointer to it and the
+// cell's two means. It ignores the name slices and row headers, which do
+// not grow with the generation parameters.
+func (m *Matrix) RetainedBytes() int64 {
+	const cellOverhead = 96
+	var n int64
+	for _, row := range m.pmfs {
+		for _, d := range row {
+			n += cellOverhead + 8*int64(d.NumBins())
+		}
+	}
+	return n
+}

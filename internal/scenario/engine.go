@@ -50,8 +50,9 @@ type CellResult struct {
 }
 
 // Engine resolves and runs scenarios. It caches generated PET matrices
-// (keyed by profile and generation parameters), so sweeps spanning many
-// cells pay matrix construction once. An Engine is safe for concurrent use.
+// (keyed by profile and generation parameters, bounded by entry count and
+// retained bytes; see Lower), so sweeps spanning many cells pay matrix
+// construction once. An Engine is safe for concurrent use.
 type Engine struct {
 	// Parallelism bounds concurrent trials per Run or Sweep call; 0 falls
 	// back to the largest run.parallelism among the scenarios run (for
@@ -65,40 +66,13 @@ type Engine struct {
 	// supplying real clocks usually also set Parallelism 1.
 	NewClock func() clock.Clock
 
-	mu       sync.Mutex
-	matrices map[matrixKey]*pet.Matrix
-}
-
-// matrixKey identifies one generated PET matrix.
-type matrixKey struct {
-	profile string
-	params  pet.Params
+	matrices matrixCache
 }
 
 // NewEngine returns an Engine with the given trial parallelism bound (0 =
 // each scenario's run.parallelism).
 func NewEngine(parallelism int) *Engine {
 	return &Engine{Parallelism: parallelism}
-}
-
-// matrix returns the cached PET matrix of a normalized platform spec,
-// building it on first use.
-func (e *Engine) matrix(p Platform) (*pet.Matrix, error) {
-	key := matrixKey{profile: p.Profile, params: p.PETParams()}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if m, ok := e.matrices[key]; ok {
-		return m, nil
-	}
-	m, err := p.BuildMatrix()
-	if err != nil {
-		return nil, err
-	}
-	if e.matrices == nil {
-		e.matrices = make(map[matrixKey]*pet.Matrix)
-	}
-	e.matrices[key] = m
-	return m, nil
 }
 
 // TrialProgress reports one finished trial during RunWithProgress. Done
@@ -257,10 +231,11 @@ type compiled struct {
 // compile builds a normalized scenario's trial-independent state. Workload
 // configuration errors surface here — before any trial goroutine starts.
 func (e *Engine) compile(s Scenario) (*compiled, error) {
-	matrix, err := e.matrix(s.Platform)
+	low, err := e.Lower(s.Platform, s.Prune)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
+	matrix := low.Matrix
 	wcfg, err := s.workloadConfig(s.Run.Scale)
 	if err != nil {
 		return nil, err
@@ -277,10 +252,6 @@ func (e *Engine) compile(s Scenario) (*compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: events: %w", s.Name, err)
 	}
-	prune, err := s.Prune.CoreConfig(matrix.NumTaskTypes())
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
 	// Normalize checked that an explicit platform.mode matches the
 	// heuristic's kind, so the kind alone decides the mode.
 	_, imm, err := sched.ByName(s.Platform.Heuristic)
@@ -293,9 +264,9 @@ func (e *Engine) compile(s Scenario) (*compiled, error) {
 	}
 	return &compiled{s: s, matrix: matrix, wcfg: wcfg, model: model, sim: sim.Config{
 		Mode:         mode,
-		MachineTypes: s.Platform.MachineTypes(matrix),
+		MachineTypes: low.MachineTypes,
 		Slots:        s.Platform.Slots,
-		Prune:        prune,
+		Prune:        low.Prune,
 		Seed:         s.Run.Seed ^ 0xabcd,
 		// A stream's task total is known only when it drains, so the
 		// simulator clamps a boundary too large for it (n <=

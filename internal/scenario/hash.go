@@ -27,17 +27,26 @@ import (
 //
 // Hash fails only when the scenario does not normalize.
 func (s Scenario) Hash() (string, error) {
+	_, hash, err := s.Canonical()
+	return hash, err
+}
+
+// Canonical normalizes the scenario once and returns the normalized copy
+// with its Hash. Callers that need both pay one Normalize (and so one
+// arrival-model validation) instead of two.
+func (s Scenario) Canonical() (Scenario, string, error) {
 	n, err := s.Normalize()
 	if err != nil {
-		return "", err
+		return Scenario{}, "", err
 	}
-	n.Name = ""
-	n.Description = ""
-	n.Run.Parallelism = 0
-	data, err := json.Marshal(n)
+	h := n
+	h.Name = ""
+	h.Description = ""
+	h.Run.Parallelism = 0
+	data, err := json.Marshal(h)
 	if err != nil {
-		return "", fmt.Errorf("scenario: hashing: %w", err)
+		return Scenario{}, "", fmt.Errorf("scenario: hashing: %w", err)
 	}
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return n, hex.EncodeToString(sum[:]), nil
 }

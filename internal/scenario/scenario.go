@@ -296,7 +296,7 @@ func Load(path string) (Scenario, error) {
 	if err != nil {
 		return Scenario{}, fmt.Errorf("scenario: %w", err)
 	}
-	s, err := decode(data)
+	s, err := Decode(data)
 	if err == nil {
 		if s.Name == "" {
 			s.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
@@ -314,7 +314,7 @@ func Load(path string) (Scenario, error) {
 
 // Parse decodes and normalizes a JSON scenario document.
 func Parse(data []byte) (Scenario, error) {
-	s, err := decode(data)
+	s, err := Decode(data)
 	if err != nil {
 		return Scenario{}, err
 	}
@@ -344,8 +344,9 @@ func (s *Scenario) resolveTrace(dir string) error {
 	return nil
 }
 
-// decode unmarshals a scenario document, rejecting unknown fields.
-func decode(data []byte) (Scenario, error) {
+// Decode unmarshals a scenario document, rejecting unknown fields, and
+// leaves it unnormalized: Parse is Decode plus Normalize.
+func Decode(data []byte) (Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Scenario

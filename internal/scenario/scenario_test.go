@@ -240,7 +240,7 @@ func TestEngineMatrixCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := func(s Scenario) *pet.Matrix {
-		m, err := eng.matrix(s.Platform)
+		m, err := eng.matrices.get(s.Platform)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestMachineTypesAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := eng.matrix(s.Platform)
+	m, err := eng.matrices.get(s.Platform)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,6 +71,34 @@ func (p *fuzzProgram) task() string {
 	return spec + "}"
 }
 
+// serveChecked sends one request through handler and returns its status
+// and body, failing t unless the answer is a 2xx JSON object or the error
+// envelope with a code from errors.go.
+func serveChecked(t *testing.T, handler http.Handler, method, path string, body []byte) (int, []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	handler.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	out := rec.Body.Bytes()
+	if rec.Code >= 200 && rec.Code < 300 {
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(out, &obj); err != nil {
+			t.Fatalf("%s %s %q: status %d with a body that is no JSON object: %q", method, path, body, rec.Code, out)
+		}
+		return rec.Code, out
+	}
+	var env struct {
+		Error *struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(out, &env); err != nil || env.Error == nil ||
+		!envelopeCodes[env.Error.Code] || env.Error.Message == "" {
+		t.Fatalf("%s %s %q: status %d without a valid error envelope: %q", method, path, body, rec.Code, out)
+	}
+	return rec.Code, out
+}
+
 // FuzzSessionRequests drives one admission session through the v1 handler
 // with fuzzed sequences of decide, decide/batch, complete, fail, rejoin and
 // get requests, plus raw request bodies. Every answer must be a 2xx JSON
@@ -91,27 +119,7 @@ func FuzzSessionRequests(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, prog []byte, raw []byte) {
 		serve := func(method, path string, body []byte) (int, []byte) {
-			rec := httptest.NewRecorder()
-			handler.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
-			out := rec.Body.Bytes()
-			if rec.Code >= 200 && rec.Code < 300 {
-				var obj map[string]json.RawMessage
-				if err := json.Unmarshal(out, &obj); err != nil {
-					t.Fatalf("%s %s %q: status %d with a body that is no JSON object: %q", method, path, body, rec.Code, out)
-				}
-				return rec.Code, out
-			}
-			var env struct {
-				Error *struct {
-					Code    string `json:"code"`
-					Message string `json:"message"`
-				} `json:"error"`
-			}
-			if err := json.Unmarshal(out, &env); err != nil || env.Error == nil ||
-				!envelopeCodes[env.Error.Code] || env.Error.Message == "" {
-				t.Fatalf("%s %s %q: status %d without a valid error envelope: %q", method, path, body, rec.Code, out)
-			}
-			return rec.Code, out
+			return serveChecked(t, handler, method, path, body)
 		}
 
 		code, out := serve("POST", "/v1/sessions", []byte(
@@ -182,6 +190,54 @@ func FuzzSessionRequests(f *testing.F) {
 				paths := [...]string{"/decide", "/decide/batch", "/complete", "/machines/0/fail", "/machines/0/rejoin"}
 				serve("POST", base+paths[int(p.next())%len(paths)], raw)
 			}
+		}
+	})
+}
+
+// FuzzSessionCreate posts fuzzed POST /v1/sessions bodies. Every body must
+// be answered with 201 and a session ID, or with the error envelope; no
+// body may panic the handler, and however many distinct platform specs the
+// bodies name, the engine's PET-matrix cache stays within its caps. Each
+// created session is deleted at once, so the session cap never answers
+// for the body.
+func FuzzSessionCreate(f *testing.F) {
+	srv := service.New(service.Config{Workers: -1, SessionTTL: -1})
+	f.Cleanup(srv.Close)
+	handler := srv.Handler()
+
+	for _, body := range []string{
+		`{}`,
+		`{"platform": {"heuristic": "MCT"}, "prune": {"enabled": true}}`,
+		`{"platform": {"machines": 3, "heuristic": "KPB", "slots": 2, "pet": {"samples": 50, "seed": 7}}, "prune": {"enabled": true, "toggle": "always"}}`,
+		`{"platform": {"profile": "homogeneous", "machines": 4, "pet": {"samples": 20, "bin_width": 0.25, "shape_lo": 2, "shape_hi": 4}}}`,
+		`{"platform": {"heuristic": "MM"}}`,
+		`{"platform": {"machines": 0, "pet": {"samples": -1}}}`,
+		`{"platform": {"pet": {"bin_width": 0.001}}}`,
+		`{"prune": {"toggle": "bogus"}}`,
+		`{"platform": {"mode": "batch"}}`,
+		`{"platform": {"pct_tail_eps": 1}}`,
+		`{"platform": {}, "bogus": 1}`,
+		`{"platform": {}} trailing`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		code, out := serveChecked(t, handler, "POST", "/v1/sessions", body)
+		if code >= 200 && code < 300 {
+			var created struct {
+				SessionID string `json:"session_id"`
+			}
+			if err := json.Unmarshal(out, &created); code != http.StatusCreated || err != nil || created.SessionID == "" {
+				t.Fatalf("%q: status %d without a session: %s", body, code, out)
+			}
+			if code, out := serveChecked(t, handler, "DELETE", "/v1/sessions/"+created.SessionID, nil); code != http.StatusOK {
+				t.Fatalf("delete %s: status %d: %s", created.SessionID, code, out)
+			}
+		}
+		if st := srv.Engine().MatrixCacheStats(); st.Entries > st.MaxEntries || st.Bytes > st.MaxBytes {
+			t.Fatalf("%q: matrix cache past its caps: %+v", body, st)
 		}
 	})
 }

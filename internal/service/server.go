@@ -123,7 +123,10 @@ type engineRunner interface {
 // metrics behind the HTTP API. Create with New, expose with Handler, stop
 // with Close. Safe for concurrent use.
 type Server struct {
-	engine   engineRunner
+	engine engineRunner
+	// eng is the engine behind engine. Sessions lower their platforms
+	// through it, so jobs and sessions share its PET-matrix cache.
+	eng      *scenario.Engine
 	store    store.Store
 	metrics  *Metrics
 	library  map[string]scenario.Scenario
@@ -179,8 +182,10 @@ func New(cfg Config) *Server {
 		// A zero tenant.Config cannot fail to validate.
 		tenants, _ = tenant.NewRegistry(tenant.Config{})
 	}
+	eng := scenario.NewEngine(cfg.Parallelism)
 	s := &Server{
-		engine:           scenario.NewEngine(cfg.Parallelism),
+		engine:           eng,
+		eng:              eng,
 		store:            cfg.Store,
 		metrics:          newMetrics(),
 		library:          make(map[string]scenario.Scenario, len(cfg.Library)),
@@ -243,6 +248,10 @@ func (s *Server) libIndex(name string) (int, bool) {
 	}
 	return 0, false
 }
+
+// Engine exposes the scenario engine jobs run on and sessions lower their
+// platforms through (embedders and tests read its matrix cache).
+func (s *Server) Engine() *scenario.Engine { return s.eng }
 
 // Metrics exposes the server's counters (tests and embedders read them).
 func (s *Server) Metrics() *Metrics { return s.metrics }
@@ -378,22 +387,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		sc = lib
 	case req.Scenario != nil:
-		parsed, err := scenario.Parse(req.Scenario)
+		decoded, err := scenario.Decode(req.Scenario)
 		if err != nil {
 			apiError(w, http.StatusBadRequest, CodeInvalidScenario, "invalid scenario: %v", err)
 			return
 		}
-		sc = parsed
+		sc = decoded
 	default:
 		apiError(w, http.StatusBadRequest, CodeInvalidRequest, "give a scenario or a library name")
 		return
 	}
-	norm, err := sc.Normalize()
-	if err != nil {
-		apiError(w, http.StatusBadRequest, CodeInvalidScenario, "invalid scenario: %v", err)
-		return
-	}
-	hash, err := norm.Hash()
+	norm, hash, err := sc.Canonical()
 	if err != nil {
 		apiError(w, http.StatusBadRequest, CodeInvalidScenario, "invalid scenario: %v", err)
 		return
@@ -684,11 +688,7 @@ var ErrClosed = errors.New("service: server closed")
 // it behaves exactly like POST /v1/jobs (normalize, hash, cache lookup,
 // bounded enqueue) and returns the job, or ErrClosed / a queue-full error.
 func (s *Server) Submit(sc scenario.Scenario) (*Job, error) {
-	norm, err := sc.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	hash, err := norm.Hash()
+	norm, hash, err := sc.Canonical()
 	if err != nil {
 		return nil, err
 	}

@@ -117,22 +117,18 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, CodeInvalidSession, "invalid platform: %v", err)
 		return
 	}
-	matrix, err := p.BuildMatrix()
-	if err != nil {
-		apiError(w, http.StatusBadRequest, CodeInvalidSession, "invalid platform: %v", err)
-		return
-	}
-	prune, err := req.Prune.WithDefaults().CoreConfig(matrix.NumTaskTypes())
+	// The platform is valid, so only the prune spec can fail to lower.
+	low, err := s.eng.Lower(p, req.Prune.WithDefaults())
 	if err != nil {
 		apiError(w, http.StatusBadRequest, CodeInvalidSession, "invalid prune spec: %v", err)
 		return
 	}
 	h, err := s.sessions.Create(admission.Config{
-		Matrix:       matrix,
-		MachineTypes: p.MachineTypes(matrix),
+		Matrix:       low.Matrix,
+		MachineTypes: low.MachineTypes,
 		Heuristic:    p.Heuristic,
 		Slots:        p.Slots,
-		Prune:        prune,
+		Prune:        low.Prune,
 	})
 	if err != nil {
 		status := http.StatusBadRequest
@@ -147,7 +143,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, sessionCreated{
 		SessionID: h.ID,
 		Machines:  p.Machines,
-		TaskTypes: matrix.NumTaskTypes(),
+		TaskTypes: low.Matrix.NumTaskTypes(),
 		Heuristic: p.Heuristic,
 		Created:   h.Created,
 	})

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"prunesim/internal/scenario"
 	"prunesim/internal/service"
 )
 
@@ -370,5 +371,71 @@ func TestSessionConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 	if got := srv.Metrics().Decisions.Load(); got != workers*iters {
 		t.Fatalf("decisions metric %d, want %d", got, workers*iters)
+	}
+}
+
+// TestSessionsAndJobsShareMatrixCache creates sessions and compiles jobs
+// concurrently over the same three PET specs (run under -race in CI). Job
+// scenarios and session platforms differ in heuristic and machine count
+// but not in profile or PET parameters, so the engine ends up holding
+// exactly three matrices, one per spec, shared by both.
+func TestSessionsAndJobsShareMatrixCache(t *testing.T) {
+	srv, ts := newTestServer(t, service.Config{Workers: 2, Parallelism: 1, SessionTTL: -1})
+	const specs = 3
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				body := fmt.Sprintf(`{"platform": {"machines": %d, "pet": {"samples": 20, "seed": %d}}, "prune": {"enabled": true}}`,
+					2+w, 1+(w+i)%specs)
+				var created struct {
+					SessionID string `json:"session_id"`
+				}
+				if code, raw := doJSON(t, ts, "POST", "/v1/sessions", body, &created); code != http.StatusCreated {
+					t.Errorf("create %s: status %d: %s", body, code, raw)
+					return
+				}
+				if code, raw := doJSON(t, ts, "DELETE", "/v1/sessions/"+created.SessionID, "", nil); code != http.StatusOK {
+					t.Errorf("delete %s: status %d: %s", created.SessionID, code, raw)
+				}
+				if st := srv.Engine().MatrixCacheStats(); st.Entries > specs {
+					t.Errorf("cache holds %d matrices for %d specs", st.Entries, specs)
+				}
+			}
+		}(w)
+	}
+	jobs := make([]string, 2*specs)
+	for j := range jobs {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			sc := smokeScenario(t)
+			sc.Run.Trials, sc.Run.Seed = 1, uint64(100+j)
+			sc.Platform.PET = &scenario.PETParams{Samples: 20, Seed: uint64(1 + j%specs)}
+			raw, err := json.Marshal(sc)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var st service.Status
+			if code, out := doJSON(t, ts, "POST", "/v1/jobs", `{"scenario": `+string(raw)+`}`, &st); code != http.StatusAccepted {
+				t.Errorf("submit job %d: status %d: %s", j, code, out)
+				return
+			}
+			jobs[j] = st.ID
+		}(j)
+	}
+	wg.Wait()
+	for _, id := range jobs {
+		if id != "" {
+			if st := waitDone(t, ts, id); st.State != service.StateDone {
+				t.Errorf("job %s ended %s: %s", id, st.State, st.Error)
+			}
+		}
+	}
+	if st := srv.Engine().MatrixCacheStats(); st.Entries != specs {
+		t.Fatalf("cache holds %d matrices after sessions and jobs over %d specs: %+v", st.Entries, specs, st)
 	}
 }

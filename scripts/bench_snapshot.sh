@@ -24,11 +24,12 @@ trap 'rm -rf "$tmp"' EXIT
 # mapping with deferrals, the timeline observe hot path, the admission
 # decide path, the result-store Get/Put paths, the tenant auth check,
 # the workload generation / streaming-source paths, one cache-hit job
-# through the shard front door and one in-memory decide/complete pair
-# through the service handler): the per-op cost is nanoseconds to
-# hundreds of microseconds, so a fixed iteration count would be timer
+# through the shard front door, and through the service handler in memory
+# one decide/complete pair, one session create (cached and cold PET
+# matrix) and one cache-hit submit): the per-op cost is nanoseconds to
+# a few milliseconds, so a fixed iteration count would be timer
 # noise — use a time-based benchtime for a stable estimate.
-go test -json -run '^$' -bench 'Convolve|Machine|Sched|Timeline|Admission|Store|Tenant|Workload|Router|Session' -benchtime 200ms -count 3 -cpu 2 \
+go test -json -run '^$' -bench 'Convolve|Machine|Sched|Timeline|Admission|Store|Tenant|Workload|Router|Session|Submit' -benchtime 200ms -count 3 -cpu 2 \
   -benchmem ./internal/... > "$tmp/micro.jsonl"
 
 # End-to-end sweep benchmarks: one op is a full RunFigure sweep (hundreds
