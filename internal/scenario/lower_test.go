@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -95,6 +96,32 @@ func TestMatrixCacheByteCap(t *testing.T) {
 	}
 	if st := checkCacheBounds(t, e); st != before {
 		t.Fatalf("an oversize matrix changed the cache: %+v -> %+v", before, st)
+	}
+}
+
+// TestPETShapeFloorFitsCache: the largest matrix the PET bounds admit (the
+// sample cap, the bin-width floor, every cell at the shape floor) fits the
+// cache's byte cap and is cached, and a shape just under the floor is
+// rejected at validation.
+func TestPETShapeFloorFitsCache(t *testing.T) {
+	corner := petPlatform(PETParams{BinWidth: minPETBinWidth, Samples: maxPETSamples, ShapeLo: minPETShape, ShapeHi: minPETShape})
+	if err := corner.Validate(); err != nil {
+		t.Fatalf("corner spec at the shape floor rejected: %v", err)
+	}
+	e := NewEngine(1)
+	low, err := e.Lower(corner, Prune{}.WithDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := low.Matrix.RetainedBytes(); size > maxCachedMatrixBytes {
+		t.Fatalf("corner matrix retains %d B, over the %d B cache cap", size, maxCachedMatrixBytes)
+	}
+	if st := checkCacheBounds(t, e); st.Entries != 1 {
+		t.Fatalf("corner matrix not cached: %+v", st)
+	}
+	below := petPlatform(PETParams{ShapeLo: minPETShape / 2, ShapeHi: minPETShape})
+	if err := below.Validate(); err == nil || !strings.Contains(err.Error(), "platform.pet.shape_lo") {
+		t.Fatalf("shape_lo under the floor: err = %v, want a platform.pet.shape_lo error", err)
 	}
 }
 

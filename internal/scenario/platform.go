@@ -18,10 +18,14 @@ import (
 
 // Bounds on the PET overrides. pet draws platform.pet.samples Gamma
 // samples for every matrix cell and histograms them into spread/bin_width
-// bins; session creation builds that matrix inside the HTTP handler.
+// bins; session creation builds that matrix inside the HTTP handler. The
+// spread grows as the Gamma shape falls, so the shape floor keeps the
+// largest matrix these bounds allow (about 10.5 MiB at the sample cap, the
+// bin-width floor and shape 0.1) inside the matrix cache's byte cap.
 const (
 	maxPETSamples  = 10000 // 20x the paper's 500
 	minPETBinWidth = 0.01  // 1/50 of the paper's 0.5
+	minPETShape    = 0.1   // 1/10 of the paper's 1
 )
 
 // WithDefaults returns the platform spec with the paper defaults filled
@@ -69,6 +73,9 @@ func (p Platform) Validate() error {
 		}
 		if o.BinWidth != 0 && o.BinWidth < minPETBinWidth {
 			return fmt.Errorf("platform.pet.bin_width must be at least %v, got %v", minPETBinWidth, o.BinWidth)
+		}
+		if lowered.ShapeLo < minPETShape {
+			return fmt.Errorf("platform.pet.shape_lo must be at least %v, got %v", minPETShape, lowered.ShapeLo)
 		}
 	}
 	_, imm, err := sched.ByName(p.Heuristic)

@@ -120,6 +120,7 @@ func TestValidationErrors(t *testing.T) {
 		}, "exceeds"},
 		{"too many PET samples", func(s *Scenario) { s.Platform.PET = &PETParams{Samples: 1 << 40} }, "pet.samples"},
 		{"PET bin width too small", func(s *Scenario) { s.Platform.PET = &PETParams{BinWidth: 1e-9} }, "pet.bin_width"},
+		{"PET shape below the floor", func(s *Scenario) { s.Platform.PET = &PETParams{ShapeLo: 0.09, ShapeHi: 1} }, "pet.shape_lo"},
 		{"shape_hi below default shape_lo", func(s *Scenario) { s.Platform.PET = &PETParams{ShapeHi: 0.5} }, "pet"},
 		{"bad value bounds", func(s *Scenario) { s.Workload.ValueLo, s.Workload.ValueHi = 5, 1 }, "value"},
 		{"bad spike factor", func(s *Scenario) { s.Workload.SpikeFactor = 0.5 }, "spike"},

@@ -35,7 +35,7 @@ func (s *Server) tryEnqueue(job *Job) enqueueResult {
 	}
 	select {
 	case s.queue <- job:
-		s.jobs[job.id] = job
+		s.register(job)
 		s.metrics.JobsQueued.Add(1)
 		return enqueueOK
 	default:

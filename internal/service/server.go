@@ -465,8 +465,7 @@ func (s *Server) submit(norm scenario.Scenario, hash string, tn *tenant.Tenant) 
 			s.mu.Unlock()
 			return nil, submitClosed
 		}
-		s.jobs[id] = job
-		s.order = append(s.order, id)
+		s.register(job)
 		s.mu.Unlock()
 		s.metrics.JobsSubmitted.Add(1)
 		s.metrics.CacheHits.Add(1)
@@ -482,9 +481,6 @@ func (s *Server) submit(norm scenario.Scenario, hash string, tn *tenant.Tenant) 
 	}
 	switch s.tryEnqueue(job) {
 	case enqueueOK:
-		s.mu.Lock()
-		s.order = append(s.order, id)
-		s.mu.Unlock()
 		s.metrics.JobsSubmitted.Add(1)
 		return job, submitQueued
 	case enqueueClosed:
@@ -495,6 +491,14 @@ func (s *Server) submit(norm scenario.Scenario, hash string, tn *tenant.Tenant) 
 		s.metrics.JobsRejected.Add(1)
 		return nil, submitFull
 	}
+}
+
+// register makes a job resolvable by ID and listed, in one step so that
+// GET /v1/jobs/{id} never answers a job GET /v1/jobs does not list. Caller
+// holds s.mu.
+func (s *Server) register(job *Job) {
+	s.jobs[job.id] = job
+	s.order = append(s.order, job.id)
 }
 
 // lookupJob fetches a job by the {id} path value.

@@ -322,6 +322,80 @@ func TestSessionCapacity(t *testing.T) {
 	}
 }
 
+// TestSessionCapacityWhileExpiring: at the session cap, a create reclaims
+// a session idle past its TTL instead of answering 429, and the reclaimed
+// ID answers 410. Decide traffic on a live session is unaffected while a
+// session beside it expires under concurrent listings (run under -race).
+func TestSessionCapacityWhileExpiring(t *testing.T) {
+	t.Run("reclaim", func(t *testing.T) {
+		srv, ts := newTestServer(t, service.Config{Workers: -1, MaxSessions: 1, SessionTTL: 10 * time.Millisecond})
+		old := createSession(t, ts, "")
+		time.Sleep(25 * time.Millisecond)
+		createSession(t, ts, "")
+		code, raw := doJSON(t, ts, "GET", "/v1/sessions/"+old, "", nil)
+		if code != http.StatusGone || !strings.Contains(raw, "session_expired") {
+			t.Fatalf("reclaimed session: status %d body %s", code, raw)
+		}
+		if got := srv.Metrics().SessionsExpired.Load(); got != 1 {
+			t.Fatalf("sessions_expired = %d, want 1", got)
+		}
+	})
+	t.Run("traffic", func(t *testing.T) {
+		const ttl = 100 * time.Millisecond
+		srv, ts := newTestServer(t, service.Config{Workers: -1, MaxSessions: 2, SessionTTL: ttl})
+		live := createSession(t, ts, "")
+		idle := createSession(t, ts, "")
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					code, raw := doJSON(t, ts, "POST", "/v1/sessions/"+live+"/decide",
+						fmt.Sprintf(`{"type": %d, "deadline": 1e9, "now": %d}`, w%2, i), nil)
+					if code != http.StatusOK {
+						t.Errorf("worker %d decide: status %d: %s", w, code, raw)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if code, raw := doJSON(t, ts, "GET", "/v1/sessions", "", nil); code != http.StatusOK {
+					t.Errorf("list: status %d: %s", code, raw)
+					return
+				}
+			}
+		}()
+		time.Sleep(3 * ttl)
+		close(stop)
+		wg.Wait()
+		if code, raw := doJSON(t, ts, "GET", "/v1/sessions/"+idle, "", nil); code != http.StatusGone {
+			t.Fatalf("idle session: status %d body %s", code, raw)
+		}
+		if code, raw := doJSON(t, ts, "GET", "/v1/sessions/"+live, "", nil); code != http.StatusOK {
+			t.Fatalf("live session: status %d body %s", code, raw)
+		}
+		if got := srv.Metrics().SessionsExpired.Load(); got != 1 {
+			t.Fatalf("sessions_expired = %d, want 1", got)
+		}
+	})
+}
+
 // TestSessionConcurrentTraffic hammers one session from many goroutines —
 // decides, completions, snapshots, listings — and checks nothing panics,
 // wedges or corrupts counters. Run under -race this is the session
