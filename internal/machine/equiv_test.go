@@ -285,7 +285,14 @@ func sameTasks(what string, got, want []*task.Task) error {
 // requires bitwise-equal queue state after every step. It returns an error
 // naming the first divergence. The property test and FuzzMachineOps share
 // it.
-func runOps(ops []opKind, args []uint8) error {
+func runOps(ops []opKind, args []uint8) error { return runOpsWith(ops, args, nil) }
+
+// stepHook is an extra check runOpsWith makes after every step, given both
+// machines and the current time.
+type stepHook func(inc *Machine, ref *refMachine, now float64) error
+
+// runOpsWith is runOps with an optional hook called after every step.
+func runOpsWith(ops []opKind, args []uint8, after stepHook) error {
 	inc := New(0, 0, equivLookup, 1)
 	inc.SetScratch(&pmf.Scratch{})
 	ref := &refMachine{pet: equivLookup, binWidth: 1}
@@ -413,6 +420,11 @@ func runOps(ops []opKind, args []uint8) error {
 		}
 		if err := check(); err != nil {
 			return fmt.Errorf("step %d (op %d, arg %d): %v", i, op, args[i], err)
+		}
+		if after != nil {
+			if err := after(inc, ref, now); err != nil {
+				return fmt.Errorf("step %d (op %d, arg %d): %v", i, op, args[i], err)
+			}
 		}
 	}
 	// Final cross-check of the machine-free view.

@@ -5,7 +5,8 @@ import "testing"
 // FuzzMachineOps decodes its input as (op, arg) byte pairs and runs them
 // through runOps, the same interpreter the incremental-equivalence property
 // test uses: any sequence of queue operations must keep the incremental
-// machine bitwise-equal to the full-recompute reference.
+// machine bitwise-equal to the full-recompute reference. A second run checks
+// the Version contract after every operation (versionCheck).
 func FuzzMachineOps(f *testing.F) {
 	const maxOps = 96
 	for _, seed := range [][]byte{
@@ -32,6 +33,9 @@ func FuzzMachineOps(f *testing.F) {
 		}
 		if err := runOps(ops, args); err != nil {
 			t.Fatal(err)
+		}
+		if err := runOpsWith(ops, args, versionCheck()); err != nil {
+			t.Fatalf("version contract: %v", err)
 		}
 	})
 }

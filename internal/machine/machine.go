@@ -29,6 +29,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"prunesim/internal/pmf"
 	"prunesim/internal/task"
@@ -134,6 +135,11 @@ type Machine struct {
 	// convolves each at most once.
 	chance []chanceMemo
 }
+
+// minChanceTypes is the chance memo's first capacity, in task types: the
+// paper's twelve types then need one allocation per machine, not a chain of
+// growths.
+const minChanceTypes = 16
 
 // chanceMemo is one task type's if-enqueued PCT, valid while the machine's
 // version still matches. A nil pct is never valid.
@@ -245,6 +251,13 @@ func (m *Machine) Pending() []Entry {
 	m.refreshIfStale()
 	return m.pending
 }
+
+// Version returns a counter that moves on every change that can move
+// PendingCount, Down or ExpectedReady's answer. With a non-empty queue
+// ExpectedReady answers the same at every now until Version moves; with an
+// empty queue it reads the anchor at now, so a kept read holds only at the
+// same now. A read may itself move Version, so take it after the read.
+func (m *Machine) Version() uint64 { return m.ver }
 
 // bumpVer invalidates the derived-value caches; the chance memo entries
 // lapse through their version compare.
@@ -399,14 +412,22 @@ func (m *Machine) syncCacheKey(now float64) {
 // types between mutations — batch deferral asks every machine about
 // several types per task — convolve once per type, and the Enqueue that
 // follows a query reuses its convolution.
-func (m *Machine) pctIfEnqueued(taskType int, p *pmf.PMF, now float64) *pmf.PMF {
+//
+// The PET is looked up only on a memo miss; a type with no PET panics there.
+// A hit needs no lookup: the memo was built from a PET, and SetPET moves
+// ver.
+func (m *Machine) pctIfEnqueued(taskType int, now float64) *pmf.PMF {
 	m.syncCacheKey(now)
 	if taskType >= len(m.chance) {
-		m.chance = append(m.chance, make([]chanceMemo, taskType+1-len(m.chance))...)
+		m.chance = slices.Grow(m.chance, max(taskType+1, minChanceTypes)-len(m.chance))[:taskType+1]
 	}
 	c := &m.chance[taskType]
 	if c.pct != nil && c.ver == m.ver {
 		return c.pct
+	}
+	p := m.pet(taskType)
+	if p == nil {
+		panic(fmt.Sprintf("machine %d: no PET for task type %d", m.id, taskType))
 	}
 	last := m.LastPCT(now)
 	if c.pct == nil {
@@ -420,21 +441,13 @@ func (m *Machine) pctIfEnqueued(taskType int, p *pmf.PMF, now float64) *pmf.PMF 
 // ChanceIfEnqueued returns the chance of success (Eq. 2) a task of the given
 // type and deadline would have if appended to this queue now.
 func (m *Machine) ChanceIfEnqueued(taskType int, deadline, now float64) float64 {
-	p := m.pet(taskType)
-	if p == nil {
-		panic(fmt.Sprintf("machine %d: no PET for task type %d", m.id, taskType))
-	}
-	return m.pctIfEnqueued(taskType, p, now).ProbLE(deadline)
+	return m.pctIfEnqueued(taskType, now).ProbLE(deadline)
 }
 
 // Enqueue maps a task onto this machine, computing its PCT per Eq. 1. The
 // task's status and machine assignment are updated.
 func (m *Machine) Enqueue(t *task.Task, now float64) {
-	p := m.pet(t.Type)
-	if p == nil {
-		panic(fmt.Sprintf("machine %d: no PET for task type %d", m.id, t.Type))
-	}
-	pct := m.pctIfEnqueued(t.Type, p, now)
+	pct := m.pctIfEnqueued(t.Type, now)
 	// This type's memo buffer becomes the entry's PCT; hand over ownership.
 	m.chance[t.Type].pct = nil
 	if len(m.pending) == 0 {

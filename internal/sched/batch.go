@@ -28,7 +28,10 @@ func (*MM) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 	for v.total > 0 && len(remaining) > 0 {
 		bestI, bestJ, bestC := -1, -1, math.Inf(1)
 		for i, t := range remaining {
-			j, c := v.bestMachine(ctx, t)
+			j, c, ok := v.memoBest(t.Type)
+			if !ok {
+				j, c = v.scanBest(ctx, t.Type)
+			}
 			if j >= 0 && c < bestC {
 				bestI, bestJ, bestC = i, j, c
 			}
@@ -121,7 +124,10 @@ func mapPerMachineRounds(ctx *Context, unmapped []*task.Task,
 		}
 		nominated := false
 		for i, t := range remaining {
-			j, c := v.bestMachine(ctx, t)
+			j, c, ok := v.memoBest(t.Type)
+			if !ok {
+				j, c = v.scanBest(ctx, t.Type)
+			}
 			if j < 0 {
 				continue
 			}

@@ -69,7 +69,7 @@ func (*SJF) Name() string { return "SJF" }
 func (*SJF) Map(ctx *Context, unmapped []*task.Task) []Assignment {
 	// On a homogeneous system the expected execution time is
 	// machine-independent; use machine 0's column.
-	byMean := func(ctx *Context, v *virtualState, t *task.Task) float64 { return v.typeMean(ctx, t.Type) }
+	byMean := func(ctx *Context, v *virtualState, t *task.Task) float64 { return v.meanRow(ctx, t.Type)[0] }
 	return assignSorted(ctx, unmapped, byMean, minCompletion)
 }
 

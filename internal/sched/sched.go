@@ -29,9 +29,10 @@ type Context struct {
 	// MeanExec returns the expected execution time of a task type on a
 	// machine (by machine ID), read from the PET matrix. It must return the
 	// same finite value for a given (type, machine index) for the Context's
-	// whole life: batch heuristics memoize answers derived from it across
-	// Map calls, keyed on machine state but not on MeanExec or Now (see
-	// virtualState), and immediate heuristics memoize a per-type machine
+	// whole life: batch heuristics call it once per (type, machine) and keep
+	// the answers in a dense table, and memoize answers derived from it
+	// across Map calls, keyed on machine state but not on MeanExec or Now
+	// (see virtualState); immediate heuristics memoize a per-type machine
 	// ranking keyed only on the usable set (see ranking).
 	MeanExec func(taskType, machineID int) float64
 	// Slots caps the number of pending (not yet running) tasks per machine
@@ -109,22 +110,30 @@ type Immediate interface {
 // builds its provisional mapping. Each Context owns one and every Map call
 // reuses its buffers, so a mapping event in steady state allocates nothing.
 //
+// reads keeps each machine's last read across Map calls, stamped so that
+// newVirtualState re-reads only the machines that moved (see machineRead).
+// A deferral changes no machine, so the re-mapping after it reads none.
+//
 // bestMachine's answer depends only on the task's type, ready, free and
 // MeanExec, so memo keeps one answer per type, stamped with the generation
 // gen of the (ready, free) vectors it was computed on. assign moves to a
 // fresh generation (lastGen counts them). A Map call starting from vectors
-// bitwise-equal to the previous call's start (startReady, startFree)
-// resumes that start's generation, startGen: a deferral leaves every
-// machine unchanged, so the re-mapping after it reuses the answers.
+// bitwise-equal to the previous call's start resumes that start's
+// generation, startGen, and so reuses its answers.
 type virtualState struct {
 	ready []float64
 	free  []int
 	total int
 
+	reads []machineRead
+	slots int
+
 	memo                   []bestMemo
 	gen, lastGen, startGen uint64
-	startReady             []float64
-	startFree              []int
+
+	// means is the row-major MeanExec table, means[typ*len(ready)+j],
+	// with a row per memo slot; memo[typ].hasMeans marks the rows read.
+	means []float64
 
 	// picks and chosenMach are the per-round nominee table and committed
 	// machines of mapPerMachineRounds. chosenStamp marks the positions of
@@ -137,18 +146,34 @@ type virtualState struct {
 	round       int64
 
 	// order and keys are assignSorted's permutation of positions and
-	// per-position sort keys; means caches MeanExec(type, 0) for SJF (NaN:
-	// not read yet).
+	// per-position sort keys.
 	order []int32
 	keys  []float64
-	means []float64
 }
 
-// bestMemo is one task type's bestMachine answer in generation gen.
+// machineRead is one machine's free slots and ready time as newVirtualState
+// last read them. They still hold while the machine is the same pointer at
+// the same Version (taken after the read) and, when the read depended on
+// Now, at the same Now. Only a free machine with an empty queue reads
+// differently at another Now: a non-empty queue's ExpectedReady is the mean
+// of a chain anchored when it was built, and a full or down machine reads
+// +Inf.
+type machineRead struct {
+	m      *machine.Machine
+	ver    uint64
+	now    float64
+	ready  float64
+	free   int32
+	nowDep bool
+}
+
+// bestMemo is one task type's bestMachine answer in generation gen, and
+// whether its row of the mean table is filled.
 type bestMemo struct {
 	gen        uint64
-	j          int
 	completion float64
+	j          int32
+	hasMeans   bool
 }
 
 // pick is one machine's best nominee within a mapping round.
@@ -157,28 +182,35 @@ type pick struct {
 	primary, secondary float64
 }
 
-// newVirtualState loads ctx's virtual state from the machines.
+// newVirtualState loads ctx's virtual state, re-reading only the machines
+// whose read no longer holds.
 func newVirtualState(ctx *Context) *virtualState {
 	if ctx.vs == nil {
 		ctx.vs = new(virtualState)
 	}
-	v, n := ctx.vs, len(ctx.Machines)
-	same := v.startGen != 0 && len(v.ready) == n
-	v.ready, v.startReady = slices.Grow(v.ready[:0], n)[:n], slices.Grow(v.startReady[:0], n)[:n]
-	v.free, v.startFree = slices.Grow(v.free[:0], n)[:n], slices.Grow(v.startFree[:0], n)[:n]
+	v := ctx.vs
+	if len(v.reads) != len(ctx.Machines) || v.slots != ctx.Slots {
+		v.reset(len(ctx.Machines), ctx.Slots)
+	}
+	same := v.startGen != 0
 	v.total = 0
 	for j, m := range ctx.Machines {
-		// A down or full machine gets no slots and an unreachable ready
-		// time. Every batch heuristic reads ready[j] only where free[j] > 0,
-		// so skipping ExpectedReady there changes no answer, and this one
-		// branch hides down machines from all of them.
-		f, r := max(ctx.freeSlots(j), 0), math.Inf(1)
-		if f > 0 {
-			r = m.ExpectedReady(ctx.Now)
+		rd := &v.reads[j]
+		if rd.m != m || rd.ver != m.Version() || (rd.nowDep && rd.now != ctx.Now) {
+			// A down or full machine gets no slots and an unreachable ready
+			// time. Every batch heuristic reads ready[j] only where
+			// free[j] > 0, so skipping ExpectedReady there changes no
+			// answer, and this one branch hides down machines from all of
+			// them.
+			f, r := max(ctx.freeSlots(j), 0), math.Inf(1)
+			if f > 0 {
+				r = m.ExpectedReady(ctx.Now)
+			}
+			same = same && math.Float64bits(r) == math.Float64bits(rd.ready) && f == int(rd.free)
+			*rd = machineRead{m: m, ver: m.Version(), now: ctx.Now, ready: r, free: int32(f), nowDep: f > 0 && m.PendingCount() == 0}
 		}
-		same = same && math.Float64bits(r) == math.Float64bits(v.startReady[j]) && f == v.startFree[j]
-		v.ready[j], v.startReady[j], v.free[j], v.startFree[j] = r, r, f, f
-		v.total += f
+		v.ready[j], v.free[j] = rd.ready, int(rd.free)
+		v.total += int(rd.free)
 	}
 	if !same {
 		v.lastGen++
@@ -188,29 +220,33 @@ func newVirtualState(ctx *Context) *virtualState {
 	return v
 }
 
-// roundBuffers sizes the mapPerMachineRounds working arrays.
-func (v *virtualState) roundBuffers(nMachines, nTasks int) {
-	v.picks = slices.Grow(v.picks[:0], nMachines)[:nMachines]
-	v.chosenMach = slices.Grow(v.chosenMach[:0], nTasks)[:nTasks]
-	v.chosenStamp = slices.Grow(v.chosenStamp[:0], nTasks)[:nTasks]
+// reset sizes the per-machine state for n machines under a slot cap,
+// forgets every read and starts a new generation. A new machine count also
+// forgets the mean table, whose rows are n wide.
+func (v *virtualState) reset(n, slots int) {
+	if len(v.reads) != n {
+		v.ready, v.free, v.reads = make([]float64, n), make([]int, n), make([]machineRead, n)
+		for i := range v.memo {
+			v.memo[i].hasMeans = false
+		}
+	}
+	clear(v.reads)
+	v.slots, v.startGen = slots, 0
 }
 
-// typeMean returns MeanExec(typ, 0), reading it once per type: MeanExec is
-// fixed for the Context's life (see Context).
-func (v *virtualState) typeMean(ctx *Context, typ int) float64 {
-	for typ >= len(v.means) {
-		v.means = append(v.means, math.NaN())
+// roundBuffers sizes the mapPerMachineRounds working arrays.
+func (v *virtualState) roundBuffers(nMachines, nTasks int) {
+	if len(v.picks) != nMachines {
+		v.picks = make([]pick, nMachines)
 	}
-	if math.IsNaN(v.means[typ]) {
-		v.means[typ] = ctx.MeanExec(typ, 0)
-	}
-	return v.means[typ]
+	v.chosenMach = slices.Grow(v.chosenMach[:0], nTasks)[:nTasks]
+	v.chosenStamp = slices.Grow(v.chosenStamp[:0], nTasks)[:nTasks]
 }
 
 // assign appends t to machine j's virtual queue, which starts a new
 // generation of bestMachine answers.
 func (v *virtualState) assign(ctx *Context, t *task.Task, j int) {
-	v.ready[j] += ctx.MeanExec(t.Type, j)
+	v.ready[j] += v.meanRow(ctx, t.Type)[j]
 	v.free[j]--
 	v.total--
 	v.lastGen++
@@ -219,24 +255,79 @@ func (v *virtualState) assign(ctx *Context, t *task.Task, j int) {
 
 // bestMachine returns the machine with minimum expected completion time for
 // t among machines with free virtual slots (lowest index wins ties), or -1
-// if none.
+// if none. Hot loops call its two halves themselves, so the memo hit
+// inlines there.
 func (v *virtualState) bestMachine(ctx *Context, t *task.Task) (j int, completion float64) {
-	if t.Type >= len(v.memo) {
-		v.memo = slices.Grow(v.memo, t.Type+1-len(v.memo))[:t.Type+1]
+	if j, c, ok := v.memoBest(t.Type); ok {
+		return j, c
 	}
-	e := &v.memo[t.Type]
-	if e.gen != v.gen {
-		e.gen, e.j, e.completion = v.gen, -1, math.Inf(1)
-		for m, f := range v.free {
-			if f <= 0 {
-				continue
-			}
-			if c := v.ready[m] + ctx.MeanExec(t.Type, m); c < e.completion {
-				e.j, e.completion = m, c
-			}
+	return v.scanBest(ctx, t.Type)
+}
+
+// memoBest returns bestMachine's memoized answer for a task type, if it is
+// of the current generation.
+func (v *virtualState) memoBest(typ int) (j int, completion float64, ok bool) {
+	if typ < len(v.memo) {
+		if e := &v.memo[typ]; e.gen == v.gen {
+			return int(e.j), e.completion, true
 		}
 	}
-	return e.j, e.completion
+	return 0, 0, false
+}
+
+// scanBest computes and memoizes bestMachine's answer for a task type. It
+// checks for a filled row itself: meanRow does not inline, and this is the
+// scan every new generation runs per type.
+func (v *virtualState) scanBest(ctx *Context, typ int) (int, float64) {
+	if typ >= len(v.memo) || !v.memo[typ].hasMeans {
+		v.fillMeans(ctx, typ)
+	}
+	n := len(v.ready)
+	row, e := v.means[typ*n:(typ+1)*n], &v.memo[typ]
+	e.gen, e.j, e.completion = v.gen, -1, math.Inf(1)
+	for m, f := range v.free {
+		if f <= 0 {
+			continue
+		}
+		if c := v.ready[m] + row[m]; c < e.completion {
+			e.j, e.completion = int32(m), c
+		}
+	}
+	return int(e.j), e.completion
+}
+
+// minMemoTypes is the memo's first capacity, in task types: the paper's
+// twelve types then need one memo and one mean table allocation per
+// Context, not a chain of growths.
+const minMemoTypes = 16
+
+// meanRow returns MeanExec(typ, j) for every machine j, calling MeanExec
+// once per (type, machine) for the Context's life: its answers are fixed
+// (see Context).
+func (v *virtualState) meanRow(ctx *Context, typ int) []float64 {
+	if typ >= len(v.memo) || !v.memo[typ].hasMeans {
+		v.fillMeans(ctx, typ)
+	}
+	n := len(v.ready)
+	return v.means[typ*n : (typ+1)*n]
+}
+
+// fillMeans grows the memo and the mean table to cover typ and fills its
+// row.
+func (v *virtualState) fillMeans(ctx *Context, typ int) {
+	n := len(v.ready)
+	if typ >= len(v.memo) {
+		v.memo = slices.Grow(v.memo, max(typ+1, minMemoTypes)-len(v.memo))[:typ+1]
+	}
+	// One table row per memo slot, so the table grows only when the memo
+	// does.
+	if size := cap(v.memo) * n; len(v.means) < size {
+		v.means = slices.Grow(v.means, size-len(v.means))[:size]
+	}
+	for j := range n {
+		v.means[typ*n+j] = ctx.MeanExec(typ, j)
+	}
+	v.memo[typ].hasMeans = true
 }
 
 // ByName constructs a heuristic by its paper name. Immediate-mode names
