@@ -56,11 +56,9 @@ func TestBuildStore(t *testing.T) {
 // flags-override-keyfile rule for the anonymous block.
 func TestBuildTenants(t *testing.T) {
 	// No keyfile, no limits: the unlimited anonymous registry.
-	reg, err := buildTenants("", 0, 0, 0)
-	if err != nil {
+	if _, err := buildTenants("", 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	reg.Close()
 
 	// Keyfile plus anonymous-flag override.
 	keyfile := filepath.Join(t.TempDir(), "keys.json")
@@ -70,11 +68,10 @@ func TestBuildTenants(t *testing.T) {
 	}`), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	reg, err = buildTenants(keyfile, 50, 75, 4)
+	reg, err := buildTenants(keyfile, 50, 75, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
 	tn, ok := reg.Resolve("k1")
 	if !ok || tn.Name() != "team-a" {
 		t.Fatalf("keyfile tenant not resolvable: %v %v", tn, ok)

@@ -80,8 +80,8 @@ type Config struct {
 	// Tenants is the multi-tenancy registry: API keys, per-tenant token
 	// buckets, QPS accounting and in-flight job caps, enforced uniformly
 	// on every /v1 endpoint. Default is a registry with only an unlimited
-	// anonymous tenant (the pre-tenancy behavior). The server takes
-	// ownership: Close stops its accounting goroutine.
+	// anonymous tenant (the pre-tenancy behavior). It starts no goroutine,
+	// so Close has nothing of it to stop.
 	Tenants *tenant.Registry
 	// IDPrefix prefixes every job and session ID this server mints (e.g.
 	// "s1-" on shard 1), making IDs globally unique across a shard fleet
@@ -257,11 +257,11 @@ func (s *Server) Engine() *scenario.Engine { return s.eng }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close stops accepting jobs, waits for in-flight work to finish, then
-// tears down what the server owns: the admission-session registry, the
-// tenant registry's accounting goroutine, and the result store. The store
-// is closed last and only after the final worker's Put has returned, so a
-// graceful shutdown never truncates a cache write — a disk-backed store
-// flushes every committed entry before the process exits.
+// tears down what the server owns: the admission-session registry and the
+// result store. The store is closed last and only after the final worker's
+// Put has returned, so a graceful shutdown never truncates a cache write —
+// a disk-backed store flushes every committed entry before the process
+// exits.
 // Queued-but-unstarted jobs still run; new submissions get 503.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -275,7 +275,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.wg.Wait()
 	s.sessions.Close()
-	s.tenants.Close()
 	// Best-effort: the cache is already durable entry-by-entry; a close
 	// error leaves nothing actionable for a draining server.
 	s.store.Close()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -163,6 +164,25 @@ func TestTenantRateLimited(t *testing.T) {
 	// An unlimited tenant on the same server is unaffected.
 	if code, _, _ := doTenantReq(t, "GET", ts.URL+"/v1/jobs", "", ""); code != http.StatusOK {
 		t.Fatalf("anonymous after limit: status %d, want 200", code)
+	}
+}
+
+// TestTenantTinyRateRetryAfter: a rate_qps so small that the wait to the
+// next token overflows a time.Duration still answers a Retry-After of at
+// least a century, not the 1 s floor a wrapped negative wait would give.
+func TestTenantTinyRateRetryAfter(t *testing.T) {
+	reg := mustRegistry(t, tenant.Config{Anonymous: tenant.Limits{RateQPS: 1e-12, Burst: 1}})
+	_, ts := newTestServer(t, service.Config{Workers: 1, Tenants: reg})
+	if code, _, _ := doTenantReq(t, "GET", ts.URL+"/v1/jobs", "", ""); code != http.StatusOK {
+		t.Fatalf("first request: status %d, want 200", code)
+	}
+	code, _, resp := doTenantReq(t, "GET", ts.URL+"/v1/jobs", "", "")
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("second request: status %d, want 429", code)
+	}
+	const century = 100 * 365 * 24 * 3600
+	if secs, err := strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64); err != nil || secs < century {
+		t.Fatalf("Retry-After = %q, want at least %d seconds", resp.Header.Get("Retry-After"), century)
 	}
 }
 

@@ -15,7 +15,6 @@ func BenchmarkTenantCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer r.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -35,7 +34,6 @@ func BenchmarkTenantCheckAnonymous(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer r.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -32,9 +32,7 @@ import (
 	"time"
 )
 
-// windowSeconds is the sliding-QPS accounting horizon: observed QPS is
-// the request count over the last windowSeconds full seconds divided by
-// the window length.
+// windowSeconds is the QPS accounting horizon (see Tenant.QPS).
 const windowSeconds = 10
 
 // Limits bounds one tenant. The zero value is unlimited.
@@ -86,9 +84,6 @@ type Config struct {
 	Anonymous Limits `json:"anonymous"`
 	// Keys are the named tenants.
 	Keys []KeyEntry `json:"keys"`
-	// AccountingInterval is the sliding-window rotation cadence of the
-	// accounting goroutine (default 1s; tests shrink it).
-	AccountingInterval time.Duration `json:"-"`
 	// Now overrides the clock in tests.
 	Now func() time.Time `json:"-"`
 }
@@ -128,38 +123,24 @@ func Key(r *http.Request) string {
 	return strings.TrimSpace(r.Header.Get("X-Api-Key"))
 }
 
-// Registry resolves API keys to tenants and runs the shared accounting
-// goroutine. Build with NewRegistry, stop with Close.
+// Registry resolves API keys to tenants. Build with NewRegistry; it
+// starts no goroutine and needs no Close.
 type Registry struct {
-	now     func() time.Time
 	byKey   map[string]*Tenant
 	anon    *Tenant
 	tenants []*Tenant // anon first, then keyfile order
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	stopped  chan struct{}
 }
 
-// NewRegistry validates the config, builds every tenant and starts the
-// accounting goroutine that rotates the sliding QPS windows.
+// NewRegistry validates the config and builds every tenant.
 func NewRegistry(cfg Config) (*Registry, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.AccountingInterval <= 0 {
-		cfg.AccountingInterval = time.Second
 	}
 	anonLimits, err := cfg.Anonymous.normalize()
 	if err != nil {
 		return nil, fmt.Errorf("tenant: anonymous: %w", err)
 	}
-	r := &Registry{
-		now:     cfg.Now,
-		byKey:   make(map[string]*Tenant, len(cfg.Keys)),
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
+	r := &Registry{byKey: make(map[string]*Tenant, len(cfg.Keys))}
 	r.anon = newTenant("anonymous", anonLimits, cfg.Now)
 	r.tenants = append(r.tenants, r.anon)
 	for i, e := range cfg.Keys {
@@ -181,7 +162,6 @@ func NewRegistry(cfg Config) (*Registry, error) {
 		r.byKey[e.Key] = t
 		r.tenants = append(r.tenants, t)
 	}
-	go r.accountant(cfg.AccountingInterval)
 	return r, nil
 }
 
@@ -191,25 +171,6 @@ func redact(key string) string {
 		return "key-****"
 	}
 	return "key-…" + key[len(key)-4:]
-}
-
-// accountant is the accounting goroutine: every interval it rotates each
-// tenant's sliding window so QPS reflects the trailing windowSeconds.
-// Stopped by Close.
-func (r *Registry) accountant(interval time.Duration) {
-	defer close(r.stopped)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-			for _, tn := range r.tenants {
-				tn.rotate()
-			}
-		}
-	}
 }
 
 // Resolve maps an API key to its tenant: the empty key resolves to the
@@ -225,14 +186,6 @@ func (r *Registry) Resolve(key string) (*Tenant, bool) {
 
 // Anonymous returns the default tenant.
 func (r *Registry) Anonymous() *Tenant { return r.anon }
-
-// Close stops the accounting goroutine and waits for it to exit. The
-// registry stays resolvable (handlers draining during shutdown must not
-// crash), but windows stop rotating. Idempotent.
-func (r *Registry) Close() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	<-r.stopped
-}
 
 // Snapshot is one tenant's accounting view (healthz / dashboards).
 type Snapshot struct {
@@ -274,29 +227,38 @@ type Tenant struct {
 	lastRefill time.Time
 	inflight   int
 
-	// Sliding window: cur counts requests in the rotation interval being
-	// filled; ring holds the windowSeconds most recent completed buckets.
-	cur      atomic.Int64
-	ringMu   sync.Mutex
-	ring     [windowSeconds]int64
-	ringPos  int
-	ringSum  int64
-	ringFull int // completed buckets, saturating at windowSeconds
+	// QPS samples of the requests counter, taken by QPS at most once a
+	// second; newest indexes the latest. windowSeconds+1 slots span the
+	// window at a 1 Hz read rate.
+	sampleMu sync.Mutex
+	samples  [windowSeconds + 1]sample
+	newest   int
 
 	requests         atomic.Int64
 	rateLimited      atomic.Int64
 	inflightRejected atomic.Int64
 }
 
-// newTenant builds a tenant with a full bucket.
+// sample is the requests counter n as read at time at.
+type sample struct {
+	at time.Time
+	n  int64
+}
+
+// newTenant builds a tenant with a full bucket and every QPS sample at
+// (creation time, 0).
 func newTenant(name string, limits Limits, now func() time.Time) *Tenant {
-	return &Tenant{
+	t := &Tenant{
 		name:       name,
 		limits:     limits,
 		now:        now,
 		tokens:     limits.Burst,
 		lastRefill: now(),
 	}
+	for i := range t.samples {
+		t.samples[i] = sample{at: t.lastRefill}
+	}
+	return t
 }
 
 // Name returns the tenant's display name.
@@ -307,11 +269,10 @@ func (t *Tenant) Limits() Limits { return t.limits }
 
 // Allow spends one token if the bucket has it, reporting whether the
 // request may proceed; when it may not, retryAfter says how long until a
-// token accrues. Every call (allowed or not) counts into the sliding QPS
-// window.
+// token accrues. Every call (allowed or not) counts into the request
+// counter that QPS samples.
 func (t *Tenant) Allow() (ok bool, retryAfter time.Duration) {
 	t.requests.Add(1)
-	t.cur.Add(1)
 	if t.limits.RateQPS <= 0 {
 		return true, 0
 	}
@@ -329,7 +290,11 @@ func (t *Tenant) Allow() (ok bool, retryAfter time.Duration) {
 	deficit := 1 - t.tokens
 	t.mu.Unlock()
 	t.rateLimited.Add(1)
-	return false, time.Duration(deficit / t.limits.RateQPS * float64(time.Second))
+	wait := deficit / t.limits.RateQPS * float64(time.Second)
+	if wait >= math.MaxInt64 { // a tiny RateQPS: the conversion would overflow
+		return false, math.MaxInt64
+	}
+	return false, time.Duration(wait)
 }
 
 // TryBeginJob claims an in-flight job slot, reporting false when the
@@ -369,29 +334,34 @@ func (t *Tenant) InFlight() int {
 	return t.inflight
 }
 
-// rotate pushes the current bucket into the ring (the accounting
-// goroutine's per-second tick).
-func (t *Tenant) rotate() {
-	n := t.cur.Swap(0)
-	t.ringMu.Lock()
-	t.ringSum += n - t.ring[t.ringPos]
-	t.ring[t.ringPos] = n
-	t.ringPos = (t.ringPos + 1) % windowSeconds
-	if t.ringFull < windowSeconds {
-		t.ringFull++
-	}
-	t.ringMu.Unlock()
-}
-
-// QPS reports the observed request rate over the trailing sliding window
-// (completed buckets only; 0 until the first rotation).
+// QPS reports the observed request rate over a trailing window, worked
+// out from samples of the requests counter that QPS itself takes: it
+// records a new sample when the newest is at least 1 s old, and divides
+// the requests since base by base's age, where base is the newest sample
+// at least windowSeconds old (the oldest while none is). Read at least
+// once a second, the window is windowSeconds long; after a gap of g
+// between reads it spans windowSeconds to windowSeconds+g. The rate is
+// exact over the window it covers. A fresh tenant reads 0.
 func (t *Tenant) QPS() float64 {
-	t.ringMu.Lock()
-	defer t.ringMu.Unlock()
-	if t.ringFull == 0 {
+	t.sampleMu.Lock()
+	defer t.sampleMu.Unlock()
+	now, n := t.now(), t.requests.Load()
+	if now.Sub(t.samples[t.newest].at) >= time.Second {
+		t.newest = (t.newest + 1) % len(t.samples)
+		t.samples[t.newest] = sample{at: now, n: n}
+	}
+	var base sample // newest to oldest, stopping at windowSeconds old
+	for i := range len(t.samples) {
+		base = t.samples[(t.newest-i+len(t.samples))%len(t.samples)]
+		if now.Sub(base.at) >= windowSeconds*time.Second {
+			break
+		}
+	}
+	secs := now.Sub(base.at).Seconds()
+	if secs <= 0 {
 		return 0
 	}
-	return float64(t.ringSum) / float64(t.ringFull)
+	return float64(n-base.n) / secs
 }
 
 // RateLimited reports how many requests the token bucket refused.

@@ -4,6 +4,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -20,7 +22,6 @@ func mustRegistry(t *testing.T, cfg Config) *Registry {
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
-	t.Cleanup(r.Close)
 	return r
 }
 
@@ -148,60 +149,171 @@ func TestInFlightCap(t *testing.T) {
 	}
 }
 
+// TestTinyRateRetryAfter: a rate so small that the wait overflows a
+// time.Duration still reports a positive Retry-After.
+func TestTinyRateRetryAfter(t *testing.T) {
+	r := mustRegistry(t, Config{Anonymous: Limits{RateQPS: 1e-12, Burst: 1}})
+	tn := r.Anonymous()
+	if ok, _ := tn.Allow(); !ok {
+		t.Fatal("first request within burst was refused")
+	}
+	ok, retry := tn.Allow()
+	if ok {
+		t.Fatal("second request was allowed")
+	}
+	if retry <= 0 {
+		t.Errorf("Retry-After = %v, want positive", retry)
+	}
+}
+
+// allowN spends n requests from tn.
+func allowN(tn *Tenant, n int) {
+	for range n {
+		tn.Allow()
+	}
+}
+
 func TestSlidingWindowQPS(t *testing.T) {
 	clk := newFakeClock()
 	r := mustRegistry(t, Config{Now: clk.now})
 	tn := r.Anonymous()
+	// 30 requests over 3 seconds polled once a second: 12, 12, 6.
+	allowN(tn, 12)
 	if got := tn.QPS(); got != 0 {
-		t.Errorf("QPS before any rotation = %g, want 0", got)
+		t.Errorf("QPS before any time passed = %g, want 0", got)
 	}
-	// 30 requests over 3 completed one-second buckets: 12, 12, 6.
-	for _, n := range []int{12, 12, 6} {
-		for i := 0; i < n; i++ {
-			tn.Allow()
-		}
-		tn.rotate()
+	for _, n := range []int{12, 6} {
+		clk.advance(time.Second)
+		tn.QPS()
+		allowN(tn, n)
 	}
+	clk.advance(time.Second)
 	if got, want := tn.QPS(), 10.0; got != want {
-		t.Errorf("QPS over 3 buckets = %g, want %g", got, want)
+		t.Errorf("QPS over 3 seconds = %g, want %g", got, want)
 	}
-	// Rotating empty buckets decays the average; after the full window
-	// passes with no traffic, QPS reaches 0 again.
-	for i := 0; i < windowSeconds; i++ {
-		tn.rotate()
+	// Idle and read ten times a second, the window stays windowSeconds
+	// long: at 12 s it holds the last second's 6 requests, at 13 s none.
+	for range 9 * 10 {
+		clk.advance(100 * time.Millisecond)
+		tn.QPS()
+	}
+	if got, want := tn.QPS(), 0.6; got != want {
+		t.Errorf("QPS 9 s after traffic stopped = %g, want %g", got, want)
+	}
+	for range 10 {
+		clk.advance(100 * time.Millisecond)
+		tn.QPS()
 	}
 	if got := tn.QPS(); got != 0 {
 		t.Errorf("QPS after an idle window = %g, want 0", got)
 	}
 }
 
-func TestAccountingGoroutineRotates(t *testing.T) {
-	r := mustRegistry(t, Config{AccountingInterval: time.Millisecond})
+// TestQPSFreshTenant: a tenant that has served nothing reads 0, however
+// long it has existed.
+func TestQPSFreshTenant(t *testing.T) {
+	clk := newFakeClock()
+	r := mustRegistry(t, Config{Now: clk.now})
 	tn := r.Anonymous()
-	tn.Allow()
-	deadline := time.Now().Add(2 * time.Second)
-	for tn.QPS() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("accounting goroutine never rotated the window")
+	for _, d := range []time.Duration{0, 500 * time.Millisecond, time.Second, time.Hour} {
+		clk.advance(d)
+		if got := tn.QPS(); got != 0 {
+			t.Errorf("fresh tenant after %v: QPS = %g, want 0", d, got)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
-func TestCloseStopsAccounting(t *testing.T) {
-	r, err := NewRegistry(Config{AccountingInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	r.Close() // idempotent
-	// After Close, rotations have stopped: new traffic never reaches the
-	// window ring.
+// TestQPSSteadyPolls: 1 Hz polls of a steady stream read its exact rate,
+// before the window fills and after it wraps the sample ring.
+func TestQPSSteadyPolls(t *testing.T) {
+	clk := newFakeClock()
+	r := mustRegistry(t, Config{Now: clk.now})
 	tn := r.Anonymous()
-	tn.Allow()
-	time.Sleep(20 * time.Millisecond)
+	for sec := 1; sec <= 3*windowSeconds; sec++ {
+		allowN(tn, 7)
+		clk.advance(time.Second)
+		if got := tn.QPS(); got != 7 {
+			t.Fatalf("poll at %d s: QPS = %g, want 7", sec, got)
+		}
+	}
+}
+
+// TestQPSGapLongerThanWindow: a read after an unpolled gap longer than the
+// window averages over the whole gap, from the last sample to now.
+func TestQPSGapLongerThanWindow(t *testing.T) {
+	clk := newFakeClock()
+	r := mustRegistry(t, Config{Now: clk.now})
+	tn := r.Anonymous()
+	for range 12 {
+		allowN(tn, 7)
+		clk.advance(time.Second)
+		tn.QPS()
+	}
+	// 60 requests in the gap's first 5 s, then 10 idle seconds: a strict
+	// trailing 10 s window would read 0, the documented window 60/15.
+	allowN(tn, 60)
+	clk.advance(15 * time.Second)
+	if got, want := tn.QPS(), 4.0; got != want {
+		t.Errorf("QPS after a 15 s gap = %g, want %g", got, want)
+	}
+	// The gap leaves the window once a sample windowSeconds old follows it.
+	for range windowSeconds {
+		clk.advance(time.Second)
+		tn.QPS()
+	}
 	if got := tn.QPS(); got != 0 {
-		t.Errorf("QPS advanced after Close: %g", got)
+		t.Errorf("QPS a window after the gap = %g, want 0", got)
+	}
+}
+
+// TestRegistryStartsNoGoroutine: QPS is sampled when read, so a registry
+// starts no goroutine of its own.
+func TestRegistryStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	mustRegistry(t, Config{Keys: []KeyEntry{{Key: "k"}}})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("NewRegistry started %d goroutines", after-before)
+	}
+}
+
+// TestConcurrentAllowAndSnapshots races request accounting against QPS
+// sampling; run it under -race.
+func TestConcurrentAllowAndSnapshots(t *testing.T) {
+	r := mustRegistry(t, Config{
+		Anonymous: Limits{RateQPS: 1e9},
+		Keys:      []KeyEntry{{Key: "k", Name: "keyed"}},
+	})
+	const workers, perWorker = 4, 500
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			key := ""
+			if w%2 == 1 {
+				key = "k"
+			}
+			tn, _ := r.Resolve(key)
+			allowN(tn, perWorker)
+		}()
+		go func() {
+			defer wg.Done()
+			for range perWorker / 10 {
+				for _, s := range r.Snapshots() {
+					if s.QPS < 0 {
+						t.Errorf("%s: negative QPS %g", s.Name, s.QPS)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var total int64
+	for _, s := range r.Snapshots() {
+		total += s.Requests
+	}
+	if total != workers*perWorker {
+		t.Errorf("requests counted = %d, want %d", total, workers*perWorker)
 	}
 }
 
