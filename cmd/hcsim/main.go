@@ -25,6 +25,7 @@ import (
 
 	"prunesim"
 	"prunesim/internal/cli"
+	"prunesim/internal/core"
 	"prunesim/internal/timeline"
 )
 
@@ -85,16 +86,11 @@ func main() {
 		pruning.Threshold = *threshold
 		pruning.FairnessFactor = *fairness
 		pruning.DeferEnabled = !*noDefer
-		switch *toggle {
-		case "never":
-			pruning.DropMode = prunesim.ToggleNever
-		case "always":
-			pruning.DropMode = prunesim.ToggleAlways
-		case "reactive":
-			pruning.DropMode = prunesim.ToggleReactive
-		default:
-			fatal(fmt.Errorf("unknown toggle %q", *toggle))
+		mode, err := core.ParseToggleMode(*toggle)
+		if err != nil {
+			fatal(err)
 		}
+		pruning.DropMode = mode
 	}
 	allocMode := prunesim.BatchAllocation
 	if *mode == "immediate" {

@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // ToggleMode selects the dropping-engagement policy of the Toggle module
 // (Section IV-C and the Figure 7 experiment's three configurations).
 type ToggleMode uint8
@@ -17,16 +19,23 @@ const (
 	ToggleReactive
 )
 
-// String names the mode.
+// toggleNames spells each mode; String and ParseToggleMode both read it.
+var toggleNames = [...]string{ToggleNever: "never", ToggleAlways: "always", ToggleReactive: "reactive"}
+
+// String names the mode, or returns "unknown" for a value out of range.
 func (m ToggleMode) String() string {
-	switch m {
-	case ToggleNever:
-		return "never"
-	case ToggleAlways:
-		return "always"
-	case ToggleReactive:
-		return "reactive"
-	default:
-		return "unknown"
+	if int(m) < len(toggleNames) {
+		return toggleNames[m]
 	}
+	return "unknown"
+}
+
+// ParseToggleMode resolves a mode name as String spells it.
+func ParseToggleMode(name string) (ToggleMode, error) {
+	for m, n := range toggleNames {
+		if n == name {
+			return ToggleMode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown toggle %q (want one of %q)", name, toggleNames)
 }

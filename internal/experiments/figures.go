@@ -405,11 +405,11 @@ func arrivalsSensitivity(h *harness) (*FigureResult, error) {
 		{"poisson", scenario.Workload{Pattern: "poisson", Tasks: tasks}},
 		{"diurnal", scenario.Workload{
 			Pattern: "diurnal", Tasks: tasks,
-			Rate: &scenario.DiurnalSpec{Cycles: 2, Amplitude: 0.9},
+			Rate: &workload.DiurnalConfig{Cycles: 2, Amplitude: 0.9},
 		}},
 		{"mmpp", scenario.Workload{
 			Pattern: "mmpp", Tasks: tasks,
-			MMPP: &scenario.MMPPSpec{Rates: []float64{1, 6}, MeanHold: []float64{300, 100}},
+			MMPP: &workload.MMPPConfig{Rates: []float64{1, 6}, MeanHold: []float64{300, 100}},
 		}},
 	}
 	var cells []scenario.Cell

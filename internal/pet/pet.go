@@ -57,17 +57,20 @@ var standardMeans = [][]float64{
 	{3.2, 4.3, 4.1, 2.5, 2.9, 1.8, 1.5, 2.3}, // twolf   (best: sunfire)
 }
 
-// Params controls PET PMF generation.
+// Params controls PET PMF generation. The JSON tags are the scenario
+// schema's platform.pet block.
 type Params struct {
 	// BinWidth is the PMF bin width in time units.
-	BinWidth float64
+	BinWidth float64 `json:"bin_width,omitempty"`
 	// Samples is the number of Gamma draws histogrammed per cell (paper: 500).
-	Samples int
+	Samples int `json:"samples,omitempty"`
 	// ShapeLo and ShapeHi bound the uniform Gamma-shape draw (paper: [1, 20]).
-	ShapeLo, ShapeHi float64
+	// Low shapes mean heavy-tailed execution times.
+	ShapeLo float64 `json:"shape_lo,omitempty"`
+	ShapeHi float64 `json:"shape_hi,omitempty"`
 	// Seed makes the matrix reproducible; the same seed always yields the
 	// same PMFs.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // DefaultParams returns the paper's generation parameters.

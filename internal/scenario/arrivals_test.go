@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"prunesim/internal/workload"
 )
 
 // tinyWith returns a fast scenario over the given workload spec.
@@ -20,8 +22,8 @@ func TestArrivalModelScenariosRun(t *testing.T) {
 	eng := NewEngine(2)
 	cases := map[string]Workload{
 		"poisson":          {Pattern: "poisson", Tasks: 15000},
-		"diurnal":          {Pattern: "diurnal", Tasks: 15000, Rate: &DiurnalSpec{Cycles: 3, Amplitude: 0.6}},
-		"mmpp":             {Pattern: "mmpp", Tasks: 15000, MMPP: &MMPPSpec{Rates: []float64{1, 5}, MeanHold: []float64{400, 100}}},
+		"diurnal":          {Pattern: "diurnal", Tasks: 15000, Rate: &workload.DiurnalConfig{Cycles: 3, Amplitude: 0.6}},
+		"mmpp":             {Pattern: "mmpp", Tasks: 15000, MMPP: &workload.MMPPConfig{Rates: []float64{1, 5}, MeanHold: []float64{400, 100}}},
 		"diurnal-defaults": {Pattern: "diurnal", Tasks: 15000},
 		"mmpp-defaults":    {Pattern: "mmpp", Tasks: 15000},
 	}
@@ -67,7 +69,7 @@ func TestArrivalSpecNormalization(t *testing.T) {
 	}
 
 	sparse := tinyWith(Workload{Pattern: "mmpp", Tasks: 1000})
-	spelled := tinyWith(Workload{Pattern: "mmpp", Tasks: 1000, MMPP: &MMPPSpec{
+	spelled := tinyWith(Workload{Pattern: "mmpp", Tasks: 1000, MMPP: &workload.MMPPConfig{
 		Rates: []float64{1, 8}, MeanHold: []float64{3000.0 / 8, 3000.0 / 32},
 	}})
 	if mustHash(t, sparse) != mustHash(t, spelled) {
@@ -82,16 +84,16 @@ func TestArrivalValidationErrors(t *testing.T) {
 		wl   Workload
 		want string
 	}{
-		{"rate under wrong pattern", Workload{Pattern: "poisson", Tasks: 100, Rate: &DiurnalSpec{Cycles: 1}}, "workload.rate"},
-		{"mmpp under wrong pattern", Workload{Pattern: "spiky", Tasks: 100, MMPP: &MMPPSpec{Rates: []float64{1, 2}, MeanHold: []float64{1, 1}}}, "workload.mmpp"},
-		{"trace under wrong pattern", Workload{Pattern: "constant", Tasks: 100, Trace: &TraceSpec{Arrivals: []float64{1}}}, "workload.trace"},
+		{"rate under wrong pattern", Workload{Pattern: "poisson", Tasks: 100, Rate: &workload.DiurnalConfig{Cycles: 1}}, "workload.rate"},
+		{"mmpp under wrong pattern", Workload{Pattern: "spiky", Tasks: 100, MMPP: &workload.MMPPConfig{Rates: []float64{1, 2}, MeanHold: []float64{1, 1}}}, "workload.mmpp"},
+		{"trace under wrong pattern", Workload{Pattern: "constant", Tasks: 100, Trace: &workload.TraceConfig{Arrivals: []float64{1}}}, "workload.trace"},
 		{"trace without spec", Workload{Pattern: "trace"}, "workload.trace"},
-		{"trace path without arrivals", Workload{Pattern: "trace", Trace: &TraceSpec{Path: "x.csv"}}, "trace.path"},
-		{"bad amplitude", Workload{Pattern: "diurnal", Tasks: 100, Rate: &DiurnalSpec{Cycles: 1, Amplitude: 2}}, "Amplitude"},
-		{"flat explicit rate spec", Workload{Pattern: "diurnal", Tasks: 100, Rate: &DiurnalSpec{Cycles: 2}}, "amplitude 0"},
-		{"bad pieces", Workload{Pattern: "diurnal", Tasks: 100, Rate: &DiurnalSpec{Pieces: []RatePiece{{Until: 0.4, Level: 1}}}}, "pieces"},
-		{"mmpp one state", Workload{Pattern: "mmpp", Tasks: 100, MMPP: &MMPPSpec{Rates: []float64{1}, MeanHold: []float64{1}}}, "mmpp"},
-		{"trace type out of range", Workload{Pattern: "trace", Trace: &TraceSpec{Arrivals: []float64{1, 2}, Types: []int{0, 99}}}, "types"},
+		{"trace path without arrivals", Workload{Pattern: "trace", Trace: &workload.TraceConfig{Path: "x.csv"}}, "trace.path"},
+		{"bad amplitude", Workload{Pattern: "diurnal", Tasks: 100, Rate: &workload.DiurnalConfig{Cycles: 1, Amplitude: 2}}, "Amplitude"},
+		{"flat explicit rate spec", Workload{Pattern: "diurnal", Tasks: 100, Rate: &workload.DiurnalConfig{Cycles: 2}}, "amplitude 0"},
+		{"bad pieces", Workload{Pattern: "diurnal", Tasks: 100, Rate: &workload.DiurnalConfig{Pieces: []workload.RatePiece{{Until: 0.4, Level: 1}}}}, "pieces"},
+		{"mmpp one state", Workload{Pattern: "mmpp", Tasks: 100, MMPP: &workload.MMPPConfig{Rates: []float64{1}, MeanHold: []float64{1}}}, "mmpp"},
+		{"trace type out of range", Workload{Pattern: "trace", Trace: &workload.TraceConfig{Arrivals: []float64{1, 2}, Types: []int{0, 99}}}, "types"},
 		{"unknown model", Workload{Pattern: "fractal", Tasks: 100}, "pattern"},
 	}
 	for _, tc := range cases {
@@ -153,7 +155,7 @@ func TestTracePathResolution(t *testing.T) {
 // TestScaleThreadsThroughModels: run.scale compresses MMPP sojourns and
 // trace timestamps together with the span.
 func TestScaleThreadsThroughModels(t *testing.T) {
-	s := tinyWith(Workload{Pattern: "mmpp", Tasks: 2000, MMPP: &MMPPSpec{
+	s := tinyWith(Workload{Pattern: "mmpp", Tasks: 2000, MMPP: &workload.MMPPConfig{
 		Rates: []float64{1, 4}, MeanHold: []float64{100, 50},
 	}})
 	s.Run.Scale = 0.5
@@ -169,7 +171,7 @@ func TestScaleThreadsThroughModels(t *testing.T) {
 		t.Fatalf("mmpp scale threading wrong: span=%v holds=%v", cfg.TimeSpan, cfg.MMPP.MeanHold)
 	}
 
-	st := tinyWith(Workload{Pattern: "trace", Trace: &TraceSpec{Arrivals: []float64{100, 2000}}})
+	st := tinyWith(Workload{Pattern: "trace", Trace: &workload.TraceConfig{Arrivals: []float64{100, 2000}}})
 	st.Run.Scale = 0.1
 	nt, err := st.Normalize()
 	if err != nil {
@@ -210,9 +212,9 @@ func TestEngineReportsWorkloadErrors(t *testing.T) {
 // TestHashNewFieldsSensitivity: the new arrival specs are part of the
 // cache key.
 func TestHashNewFieldsSensitivity(t *testing.T) {
-	base := tinyWith(Workload{Pattern: "diurnal", Tasks: 1000, Rate: &DiurnalSpec{Cycles: 2, Amplitude: 0.5}})
+	base := tinyWith(Workload{Pattern: "diurnal", Tasks: 1000, Rate: &workload.DiurnalConfig{Cycles: 2, Amplitude: 0.5}})
 	h := mustHash(t, base)
-	moved := tinyWith(Workload{Pattern: "diurnal", Tasks: 1000, Rate: &DiurnalSpec{Cycles: 3, Amplitude: 0.5}})
+	moved := tinyWith(Workload{Pattern: "diurnal", Tasks: 1000, Rate: &workload.DiurnalConfig{Cycles: 3, Amplitude: 0.5}})
 	if mustHash(t, moved) == h {
 		t.Fatal("diurnal cycles did not move the hash")
 	}

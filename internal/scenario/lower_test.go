@@ -10,7 +10,7 @@ import (
 )
 
 // petPlatform returns the default platform with the given PET overrides.
-func petPlatform(o PETParams) Platform {
+func petPlatform(o pet.Params) Platform {
 	return Platform{PET: &o}.WithDefaults()
 }
 
@@ -49,19 +49,19 @@ func TestMatrixCacheEntryCap(t *testing.T) {
 	e := NewEngine(1)
 	const n = 10 * maxCachedMatrices
 	for seed := uint64(1); seed <= n; seed++ {
-		if _, err := e.Lower(petPlatform(PETParams{Samples: 5, Seed: seed}), Prune{}.WithDefaults()); err != nil {
+		if _, err := e.Lower(petPlatform(pet.Params{Samples: 5, Seed: seed}), Prune{}.WithDefaults()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := checkCacheBounds(t, e); st.Entries != maxCachedMatrices {
 		t.Fatalf("cache holds %d entries after %d distinct seeds, want its cap %d", st.Entries, n, maxCachedMatrices)
 	}
-	newest := petPlatform(PETParams{Samples: 5, Seed: n})
+	newest := petPlatform(pet.Params{Samples: 5, Seed: n})
 	key := matrixKey{profile: newest.Profile, params: newest.PETParams()}
 	if _, ok := e.matrices.elems[key]; !ok {
 		t.Fatal("the most recent seed was evicted")
 	}
-	oldest := petPlatform(PETParams{Samples: 5, Seed: 1})
+	oldest := petPlatform(pet.Params{Samples: 5, Seed: 1})
 	if _, ok := e.matrices.elems[matrixKey{profile: oldest.Profile, params: oldest.PETParams()}]; ok {
 		t.Fatal("the least recent seed survived 10x the cap of newer ones")
 	}
@@ -74,7 +74,7 @@ func TestMatrixCacheByteCap(t *testing.T) {
 	e := NewEngine(1)
 	var built int64
 	for seed := uint64(1); built <= 2*maxCachedMatrixBytes; seed++ {
-		low, err := e.Lower(petPlatform(PETParams{BinWidth: 0.01, Samples: 20, ShapeLo: 0.3, ShapeHi: 0.3, Seed: seed}), Prune{}.WithDefaults())
+		low, err := e.Lower(petPlatform(pet.Params{BinWidth: 0.01, Samples: 20, ShapeLo: 0.3, ShapeHi: 0.3, Seed: seed}), Prune{}.WithDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestMatrixCacheByteCap(t *testing.T) {
 	}
 	before := st
 
-	huge := petPlatform(PETParams{BinWidth: 0.01, Samples: 2000, ShapeLo: 0.01, ShapeHi: 0.01, Seed: 1})
+	huge := petPlatform(pet.Params{BinWidth: 0.01, Samples: 2000, ShapeLo: 0.01, ShapeHi: 0.01, Seed: 1})
 	low, err := e.Lower(huge, Prune{}.WithDefaults())
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestMatrixCacheByteCap(t *testing.T) {
 // cache's byte cap and is cached, and a shape just under the floor is
 // rejected at validation.
 func TestPETShapeFloorFitsCache(t *testing.T) {
-	corner := petPlatform(PETParams{BinWidth: minPETBinWidth, Samples: maxPETSamples, ShapeLo: minPETShape, ShapeHi: minPETShape})
+	corner := petPlatform(pet.Params{BinWidth: minPETBinWidth, Samples: maxPETSamples, ShapeLo: minPETShape, ShapeHi: minPETShape})
 	if err := corner.Validate(); err != nil {
 		t.Fatalf("corner spec at the shape floor rejected: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestPETShapeFloorFitsCache(t *testing.T) {
 	if st := checkCacheBounds(t, e); st.Entries != 1 {
 		t.Fatalf("corner matrix not cached: %+v", st)
 	}
-	below := petPlatform(PETParams{ShapeLo: minPETShape / 2, ShapeHi: minPETShape})
+	below := petPlatform(pet.Params{ShapeLo: minPETShape / 2, ShapeHi: minPETShape})
 	if err := below.Validate(); err == nil || !strings.Contains(err.Error(), "platform.pet.shape_lo") {
 		t.Fatalf("shape_lo under the floor: err = %v, want a platform.pet.shape_lo error", err)
 	}
@@ -150,7 +150,7 @@ func TestLowerRepeatedSpec(t *testing.T) {
 	if err != nil || a.Prune != want {
 		t.Fatalf("prune lowered to %+v, want %+v (%v)", a.Prune, want, err)
 	}
-	p.PET = &PETParams{Seed: 7}
+	p.PET = &pet.Params{Seed: 7}
 	c, err := e.Lower(p, pr)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestLowerRepeatedSpec(t *testing.T) {
 // each build, but all of them get the one matrix the cache keeps.
 func TestLowerConcurrentMisses(t *testing.T) {
 	e := NewEngine(1)
-	p := petPlatform(PETParams{Samples: 50, Seed: 11})
+	p := petPlatform(pet.Params{Samples: 50, Seed: 11})
 	got := make([]*pet.Matrix, 8)
 	var wg sync.WaitGroup
 	for i := range got {

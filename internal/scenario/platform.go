@@ -153,26 +153,28 @@ func (p Platform) MachineTypes(m *pet.Matrix) []int {
 	return types
 }
 
-// WithDefaults returns the prune spec with the paper defaults filled into
-// omitted fields (threshold 0.5, deferring on, reactive toggle, alpha 1,
-// fairness 0.05). Scenario.Normalize delegates here.
+// WithDefaults returns the prune spec with core.DefaultConfig's paper
+// defaults filled into omitted fields (threshold 0.5, deferring on,
+// reactive toggle, alpha 1, fairness 0.05). Scenario.Normalize delegates
+// here.
 func (p Prune) WithDefaults() Prune {
+	d := core.DefaultConfig(0)
 	if p.Threshold == nil {
-		th := 0.5
+		th := d.Threshold
 		p.Threshold = &th
 	}
 	if p.Defer == nil {
-		def := true
+		def := d.DeferEnabled
 		p.Defer = &def
 	}
 	if p.Toggle == "" {
-		p.Toggle = "reactive"
+		p.Toggle = d.DropMode.String()
 	}
 	if p.DropAlpha == 0 {
-		p.DropAlpha = 1
+		p.DropAlpha = d.DropAlpha
 	}
 	if p.Fairness == nil {
-		fair := 0.05
+		fair := d.FairnessFactor
 		p.Fairness = &fair
 	}
 	if p.ValueAware && p.ValueRef == 0 {

@@ -101,62 +101,21 @@ type Workload struct {
 	ValueLo float64 `json:"value_lo,omitempty"`
 	ValueHi float64 `json:"value_hi,omitempty"`
 	// Rate declares the diurnal model's relative rate curve (pattern
-	// "diurnal" only). Omitted selects one sinusoidal cycle at amplitude
-	// 0.8.
-	Rate *DiurnalSpec `json:"rate,omitempty"`
+	// "diurnal" only), normalized so the expected task count still matches
+	// tasks. Omitted selects one sinusoidal cycle at amplitude 0.8.
+	Rate *workload.DiurnalConfig `json:"rate,omitempty"`
 	// MMPP declares the Markov-modulated process (pattern "mmpp" only).
-	// Omitted selects a two-state calm/burst chain at 1x/8x the base rate
-	// with mean holds of 1/8 and 1/32 of the span.
-	MMPP *MMPPSpec `json:"mmpp,omitempty"`
-	// Trace declares the arrivals to replay (pattern "trace" only).
-	Trace *TraceSpec `json:"trace,omitempty"`
-}
-
-// DiurnalSpec mirrors workload.DiurnalConfig in the JSON schema: the
-// relative rate curve of the inhomogeneous-Poisson model, normalized so the
-// expected task count still matches workload.tasks.
-type DiurnalSpec struct {
-	// Cycles is the number of full sinusoidal periods across the span
-	// (default 1).
-	Cycles float64 `json:"cycles,omitempty"`
-	// Amplitude in (0, 1] scales the swing around the mean rate.
-	Amplitude float64 `json:"amplitude,omitempty"`
-	// Phase shifts the sinusoid, in radians.
-	Phase float64 `json:"phase,omitempty"`
-	// Pieces replaces the sinusoid with a piecewise-constant curve: until
-	// values are fractions of the span, strictly increasing, ending at 1.
-	Pieces []RatePiece `json:"pieces,omitempty"`
-}
-
-// RatePiece is one segment of a piecewise-constant rate curve.
-type RatePiece struct {
-	Until float64 `json:"until"`
-	Level float64 `json:"level"`
-}
-
-// MMPPSpec mirrors workload.MMPPConfig: a cyclic Markov-modulated Poisson
-// process with per-state relative rates and mean sojourn times.
-type MMPPSpec struct {
-	// Rates are per-state relative arrival-rate multipliers (> 0, >= 2
-	// states).
-	Rates []float64 `json:"rates"`
-	// MeanHold are the mean state sojourn times in workload time units
-	// (same length as rates). run.scale shrinks them with the span.
-	MeanHold []float64 `json:"mean_hold"`
-}
-
-// TraceSpec declares replayed arrivals. Exactly one source: inline
-// arrivals, or a CSV path resolved relative to the scenario file by Load
-// (Parse and inline service submissions require inline arrivals — the
-// daemon does not read files on behalf of clients).
-type TraceSpec struct {
-	// Path is a CSV of `time` or `time,type` rows.
-	Path string `json:"path,omitempty"`
-	// Arrivals are inline timestamps within [0, time_span]; run.scale
-	// compresses them with the span.
-	Arrivals []float64 `json:"arrivals,omitempty"`
-	// Types optionally assigns a PET task type to each arrival.
-	Types []int `json:"types,omitempty"`
+	// run.scale shrinks its mean_hold with the span. Omitted selects a
+	// two-state calm/burst chain at 1x/8x the base rate with mean holds of
+	// 1/8 and 1/32 of the span.
+	MMPP *workload.MMPPConfig `json:"mmpp,omitempty"`
+	// Trace declares the arrivals to replay (pattern "trace" only), from
+	// exactly one source: inline arrivals, or a path to a CSV of `time` or
+	// `time,type` rows. Only Load resolves the path, relative to the
+	// scenario file; Parse and inline service submissions need inline
+	// arrivals, as the daemon does not read files on behalf of clients.
+	// run.scale compresses the arrivals with the span.
+	Trace *workload.TraceConfig `json:"trace,omitempty"`
 }
 
 // Platform declares the system under test: its heterogeneity profile,
@@ -179,8 +138,9 @@ type Platform struct {
 	// (default 2).
 	Slots int `json:"slots,omitempty"`
 	// PET overrides PET-matrix generation parameters (heavy-tail
-	// profiles, custom bin widths). Nil keeps the paper's parameters.
-	PET *PETParams `json:"pet,omitempty"`
+	// profiles, custom bin widths). Nil keeps the paper's parameters, and
+	// so does each zero-valued field.
+	PET *pet.Params `json:"pet,omitempty"`
 	// PCTTailEps, in [0, 1), enables ε-conservative completion-time tail
 	// compression: each chain convolution folds at most this much
 	// probability mass from the distribution tail into a final catch-all
@@ -188,22 +148,6 @@ type Platform struct {
 	// exact distributions. Success chances only ever shrink under
 	// compression, so pruning stays conservative. Not scaled by run.scale.
 	PCTTailEps float64 `json:"pct_tail_eps,omitempty"`
-}
-
-// PETParams overrides PET PMF generation (see pet.Params). Zero-valued
-// fields keep the paper defaults.
-type PETParams struct {
-	// BinWidth is the PMF bin width in time units (default 0.5).
-	BinWidth float64 `json:"bin_width,omitempty"`
-	// Samples is the number of Gamma draws histogrammed per matrix cell
-	// (default 500).
-	Samples int `json:"samples,omitempty"`
-	// ShapeLo and ShapeHi bound the uniform Gamma-shape draw (default
-	// [1, 20]). Low shapes mean heavy-tailed execution times.
-	ShapeLo float64 `json:"shape_lo,omitempty"`
-	ShapeHi float64 `json:"shape_hi,omitempty"`
-	// Seed pins matrix generation (default the paper matrix seed).
-	Seed uint64 `json:"seed,omitempty"`
 }
 
 // Prune declares the pruning-mechanism configuration. Pointer fields
@@ -240,7 +184,7 @@ type Run struct {
 	Trials int `json:"trials,omitempty"`
 	// Seed is the base seed for workload generation; execution-time
 	// sampling derives from it. A (Seed, trial) pair pins a trial
-	// exactly. Default 0x5eed2019.
+	// exactly. Default workload.DefaultConfig's seed, 0x5eed2019.
 	Seed uint64 `json:"seed,omitempty"`
 	// Scale uniformly shrinks task counts and the time span, preserving
 	// the oversubscription level (default 1 = paper size; accepted range
@@ -278,14 +222,7 @@ func FromCore(c core.Config) Prune {
 	}
 	th, fair, def := c.Threshold, c.FairnessFactor, c.DeferEnabled
 	p.Threshold, p.Fairness, p.Defer = &th, &fair, &def
-	switch c.DropMode {
-	case core.ToggleNever:
-		p.Toggle = "never"
-	case core.ToggleAlways:
-		p.Toggle = "always"
-	case core.ToggleReactive:
-		p.Toggle = "reactive"
-	}
+	p.Toggle = c.DropMode.String()
 	return p
 }
 
@@ -359,30 +296,31 @@ func Decode(data []byte) (Scenario, error) {
 // Normalize fills paper defaults into omitted fields and validates the
 // result. It returns the completed copy; the receiver is unchanged.
 func (s Scenario) Normalize() (Scenario, error) {
-	// Workload defaults (internal/workload.DefaultConfig's values).
+	// Workload and seed defaults are workload.DefaultConfig's.
+	def := workload.DefaultConfig(0)
 	w := &s.Workload
 	if w.Pattern == "" {
-		w.Pattern = "spiky"
+		w.Pattern = def.Model
 	}
 	if w.TimeSpan == 0 {
-		w.TimeSpan = 3000
+		w.TimeSpan = def.TimeSpan
 	}
 	if w.Spikes == 0 {
-		w.Spikes = 8
+		w.Spikes = def.NumSpikes
 	}
 	if w.SpikeFactor == 0 {
-		w.SpikeFactor = 3
+		w.SpikeFactor = def.SpikeFactor
 	}
 	if w.IATVarianceFrac == 0 {
-		w.IATVarianceFrac = 0.10
+		w.IATVarianceFrac = def.IATVarianceFrac
 	}
 	if w.BetaLo == 0 && w.BetaHi == 0 {
-		w.BetaLo, w.BetaHi = 0.8, 2.5
+		w.BetaLo, w.BetaHi = def.BetaLo, def.BetaHi
 	}
 	switch w.Pattern {
 	case workload.ModelDiurnal:
 		if w.Rate == nil {
-			w.Rate = &DiurnalSpec{Cycles: workload.DefaultDiurnalCycles, Amplitude: workload.DefaultDiurnalAmplitude}
+			w.Rate = &workload.DiurnalConfig{Cycles: workload.DefaultDiurnalCycles, Amplitude: workload.DefaultDiurnalAmplitude}
 		} else if len(w.Rate.Pieces) == 0 && w.Rate.Cycles == 0 {
 			// Clone before defaulting: Normalize documents "the receiver
 			// is unchanged", and the Rate pointer may be shared between
@@ -393,7 +331,7 @@ func (s Scenario) Normalize() (Scenario, error) {
 		}
 	case workload.ModelMMPP:
 		if w.MMPP == nil {
-			w.MMPP = &MMPPSpec{
+			w.MMPP = &workload.MMPPConfig{
 				Rates: []float64{1, workload.DefaultMMPPBurstRate},
 				MeanHold: []float64{
 					w.TimeSpan / workload.DefaultMMPPHoldDivisors[0],
@@ -414,7 +352,7 @@ func (s Scenario) Normalize() (Scenario, error) {
 		r.Trials = 30
 	}
 	if r.Seed == 0 {
-		r.Seed = 0x5eed2019
+		r.Seed = def.Seed
 	}
 	if r.Scale == 0 {
 		r.Scale = 1
@@ -543,16 +481,11 @@ func (w Workload) model() (string, error) {
 
 // toggleMode resolves the dropping-toggle name.
 func (p Prune) toggleMode() (core.ToggleMode, error) {
-	switch p.Toggle {
-	case "never":
-		return core.ToggleNever, nil
-	case "always":
-		return core.ToggleAlways, nil
-	case "reactive":
-		return core.ToggleReactive, nil
-	default:
-		return 0, fmt.Errorf("unknown prune.toggle %q (want \"never\", \"always\" or \"reactive\")", p.Toggle)
+	m, err := core.ParseToggleMode(p.Toggle)
+	if err != nil {
+		return 0, fmt.Errorf("prune.toggle: %w", err)
 	}
+	return m, nil
 }
 
 // workloadConfig lowers the workload spec to the generator configuration
@@ -580,35 +513,30 @@ func (s Scenario) workloadConfig(scale float64) (workload.Config, error) {
 		ValueHi:         s.Workload.ValueHi,
 		Seed:            s.Run.Seed,
 	}
+	// The arrival models only read their sub-configs, so unscaled slices
+	// are shared with the scenario.
 	switch model {
 	case workload.ModelDiurnal:
 		if r := s.Workload.Rate; r != nil {
-			cfg.Diurnal = workload.DiurnalConfig{
-				Cycles:    r.Cycles,
-				Amplitude: r.Amplitude,
-				Phase:     r.Phase,
-			}
-			for _, p := range r.Pieces {
-				cfg.Diurnal.Pieces = append(cfg.Diurnal.Pieces, workload.RatePiece{Until: p.Until, Level: p.Level})
-			}
+			cfg.Diurnal = *r
 		}
 	case workload.ModelMMPP:
 		if m := s.Workload.MMPP; m != nil {
-			cfg.MMPP.Rates = append([]float64(nil), m.Rates...)
-			cfg.MMPP.MeanHold = make([]float64, len(m.MeanHold))
-			for i, h := range m.MeanHold {
-				cfg.MMPP.MeanHold[i] = h * scale
-			}
+			cfg.MMPP = workload.MMPPConfig{Rates: m.Rates, MeanHold: scaled(m.MeanHold, scale)}
 		}
 	case workload.ModelTrace:
 		if tr := s.Workload.Trace; tr != nil {
-			cfg.Trace.Path = tr.Path
-			cfg.Trace.Arrivals = make([]float64, len(tr.Arrivals))
-			for i, a := range tr.Arrivals {
-				cfg.Trace.Arrivals[i] = a * scale
-			}
-			cfg.Trace.Types = append([]int(nil), tr.Types...)
+			cfg.Trace = workload.TraceConfig{Path: tr.Path, Arrivals: scaled(tr.Arrivals, scale), Types: tr.Types}
 		}
 	}
 	return cfg, nil
+}
+
+// scaled returns a new slice of xs times scale.
+func scaled(xs []float64, scale float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = x * scale
+	}
+	return out
 }

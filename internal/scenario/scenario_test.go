@@ -118,10 +118,10 @@ func TestValidationErrors(t *testing.T) {
 				{At: 200, Action: ActionJoin, Count: 1 << 62},
 			}
 		}, "exceeds"},
-		{"too many PET samples", func(s *Scenario) { s.Platform.PET = &PETParams{Samples: 1 << 40} }, "pet.samples"},
-		{"PET bin width too small", func(s *Scenario) { s.Platform.PET = &PETParams{BinWidth: 1e-9} }, "pet.bin_width"},
-		{"PET shape below the floor", func(s *Scenario) { s.Platform.PET = &PETParams{ShapeLo: 0.09, ShapeHi: 1} }, "pet.shape_lo"},
-		{"shape_hi below default shape_lo", func(s *Scenario) { s.Platform.PET = &PETParams{ShapeHi: 0.5} }, "pet"},
+		{"too many PET samples", func(s *Scenario) { s.Platform.PET = &pet.Params{Samples: 1 << 40} }, "pet.samples"},
+		{"PET bin width too small", func(s *Scenario) { s.Platform.PET = &pet.Params{BinWidth: 1e-9} }, "pet.bin_width"},
+		{"PET shape below the floor", func(s *Scenario) { s.Platform.PET = &pet.Params{ShapeLo: 0.09, ShapeHi: 1} }, "pet.shape_lo"},
+		{"shape_hi below default shape_lo", func(s *Scenario) { s.Platform.PET = &pet.Params{ShapeHi: 0.5} }, "pet"},
 		{"bad value bounds", func(s *Scenario) { s.Workload.ValueLo, s.Workload.ValueHi = 5, 1 }, "value"},
 		{"bad spike factor", func(s *Scenario) { s.Workload.SpikeFactor = 0.5 }, "spike"},
 		{"negative exclude boundary", func(s *Scenario) { ex := -1; s.Run.ExcludeBoundary = &ex }, "exclude_boundary"},
@@ -251,7 +251,7 @@ func TestEngineMatrixCaching(t *testing.T) {
 		t.Error("same scenario built two matrices")
 	}
 	heavy := s
-	heavy.Platform.PET = &PETParams{ShapeLo: 1, ShapeHi: 3}
+	heavy.Platform.PET = &pet.Params{ShapeLo: 1, ShapeHi: 3}
 	if m(s) == m(heavy) {
 		t.Error("different PET params shared one matrix")
 	}

@@ -330,51 +330,48 @@ func (v *virtualState) fillMeans(ctx *Context, typ int) {
 	v.memo[typ].hasMeans = true
 }
 
+// heuristics is every heuristic ByName accepts, in Names order: immediate
+// first, then batch heterogeneous, then homogeneous. The first ten are the
+// paper's heuristics; OLB, MaxMin and Sufferage are extra baselines from
+// the same literature.
+var heuristics = []struct {
+	name      string
+	immediate bool
+	build     func() any
+}{
+	{"RR", true, func() any { return NewRR() }},
+	{"MET", true, func() any { return NewMET() }},
+	{"MCT", true, func() any { return NewMCT() }},
+	{"KPB", true, func() any { return NewKPB(DefaultKPBPercent) }},
+	{"MM", false, func() any { return NewMM() }},
+	{"MSD", false, func() any { return NewMSD() }},
+	{"MMU", false, func() any { return NewMMU() }},
+	{"FCFS-RR", false, func() any { return NewFCFSRR() }},
+	{"EDF", false, func() any { return NewEDF() }},
+	{"SJF", false, func() any { return NewSJF() }},
+	{"OLB", true, func() any { return NewOLB() }},
+	{"MaxMin", false, func() any { return NewMaxMin() }},
+	{"Sufferage", false, func() any { return NewSufferage() }},
+}
+
 // ByName constructs a heuristic by its paper name. Immediate-mode names
 // return an Immediate; all others return a Batch. The second return reports
 // whether the heuristic is immediate-mode.
 func ByName(name string) (any, bool, error) {
-	switch name {
-	case "RR":
-		return NewRR(), true, nil
-	case "MET":
-		return NewMET(), true, nil
-	case "MCT":
-		return NewMCT(), true, nil
-	case "KPB":
-		return NewKPB(DefaultKPBPercent), true, nil
-	case "MM":
-		return NewMM(), false, nil
-	case "MSD":
-		return NewMSD(), false, nil
-	case "MMU":
-		return NewMMU(), false, nil
-	case "OLB":
-		return NewOLB(), true, nil
-	case "MaxMin":
-		return NewMaxMin(), false, nil
-	case "Sufferage":
-		return NewSufferage(), false, nil
-	case "FCFS-RR":
-		return NewFCFSRR(), false, nil
-	case "EDF":
-		return NewEDF(), false, nil
-	case "SJF":
-		return NewSJF(), false, nil
-	default:
-		return nil, false, fmt.Errorf("sched: unknown heuristic %q", name)
+	for _, h := range heuristics {
+		if h.name == name {
+			return h.build(), h.immediate, nil
+		}
 	}
+	return nil, false, fmt.Errorf("sched: unknown heuristic %q", name)
 }
 
-// Names lists all heuristic names accepted by ByName, grouped immediate
-// first, then batch heterogeneous, then homogeneous. The first ten are the
-// paper's heuristics; OLB, MaxMin and Sufferage are extra baselines from
-// the same literature.
+// Names lists all heuristic names accepted by ByName, in the order of
+// heuristics.
 func Names() []string {
-	return []string{
-		"RR", "MET", "MCT", "KPB",
-		"MM", "MSD", "MMU",
-		"FCFS-RR", "EDF", "SJF",
-		"OLB", "MaxMin", "Sufferage",
+	names := make([]string, len(heuristics))
+	for i, h := range heuristics {
+		names[i] = h.name
 	}
+	return names
 }

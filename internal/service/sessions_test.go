@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"prunesim/internal/scenario"
+	"prunesim/internal/pet"
 	"prunesim/internal/service"
 )
 
@@ -487,7 +487,7 @@ func TestSessionsAndJobsShareMatrixCache(t *testing.T) {
 			defer wg.Done()
 			sc := smokeScenario(t)
 			sc.Run.Trials, sc.Run.Seed = 1, uint64(100+j)
-			sc.Platform.PET = &scenario.PETParams{Samples: 20, Seed: uint64(1 + j%specs)}
+			sc.Platform.PET = &pet.Params{Samples: 20, Seed: uint64(1 + j%specs)}
 			raw, err := json.Marshal(sc)
 			if err != nil {
 				t.Error(err)

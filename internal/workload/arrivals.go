@@ -316,28 +316,29 @@ func (s *poissonStream) Next() (float64, bool) {
 // DiurnalConfig declares the relative rate curve of the diurnal
 // (inhomogeneous-Poisson) model. The curve is normalized so the expected
 // task count over the span equals NumTasks; only its shape matters here.
+// The JSON tags are the scenario schema's workload.rate block.
 type DiurnalConfig struct {
 	// Cycles is the number of full sinusoidal periods across the span
 	// (default 1 — one "day").
-	Cycles float64
+	Cycles float64 `json:"cycles,omitempty"`
 	// Amplitude in (0, 1] scales the sinusoidal swing around the mean
 	// level: level(t) = 1 + Amplitude*sin(2*pi*Cycles*t/span + Phase).
 	// (0 would be a flat curve — use ModelPoisson for that.)
-	Amplitude float64
+	Amplitude float64 `json:"amplitude,omitempty"`
 	// Phase shifts the sinusoid, in radians.
-	Phase float64
+	Phase float64 `json:"phase,omitempty"`
 	// Pieces, when non-empty, replaces the sinusoid with a
 	// piecewise-constant curve.
-	Pieces []RatePiece
+	Pieces []RatePiece `json:"pieces,omitempty"`
 }
 
 // RatePiece is one segment of a piecewise-constant rate curve.
 type RatePiece struct {
 	// Until is the segment's end as a fraction of the span, in (0, 1];
 	// pieces must be strictly increasing and the last must reach 1.
-	Until float64
+	Until float64 `json:"until"`
 	// Level is the segment's relative rate, >= 0.
-	Level float64
+	Level float64 `json:"level"`
 }
 
 func (d DiurnalConfig) validate() error {
@@ -481,13 +482,14 @@ func (s *thinningStream) Next() (float64, bool) {
 // visits states 0, 1, ..., n-1, 0, ... with exponential sojourns; state i
 // emits Poisson arrivals at Rates[i] times the normalized base rate. The
 // stationary mix is normalized so the expected task count matches NumTasks.
+// The JSON tags are the scenario schema's workload.mmpp block.
 type MMPPConfig struct {
 	// Rates are per-state relative arrival-rate multipliers (> 0), at
 	// least two states. A classic bursty choice: [1, 8].
-	Rates []float64
+	Rates []float64 `json:"rates"`
 	// MeanHold are the mean state sojourn times, in workload time units,
 	// same length as Rates.
-	MeanHold []float64
+	MeanHold []float64 `json:"mean_hold"`
 }
 
 func (m MMPPConfig) validate() error {
@@ -612,17 +614,18 @@ func (s *mmppStream) Next() (float64, bool) {
 
 // TraceConfig replays explicit arrival timestamps — real-trace studies plug
 // in here. Deadlines (Eq. 4) and optional values are still drawn from the
-// workload RNG, so (trace, seed) pins the task list exactly.
+// workload RNG, so (trace, seed) pins the task list exactly. The JSON tags
+// are the scenario schema's workload.trace block.
 type TraceConfig struct {
 	// Path documents where the arrivals came from (error messages only;
 	// loading happens in the scenario layer or via LoadTraceCSV).
-	Path string
+	Path string `json:"path,omitempty"`
 	// Arrivals are the timestamps to replay, within [0, TimeSpan];
 	// arrivals beyond the span are dropped.
-	Arrivals []float64
+	Arrivals []float64 `json:"arrivals,omitempty"`
 	// Types optionally assigns a task type to each arrival (same length
 	// as Arrivals). Empty assigns types round-robin in time order.
-	Types []int
+	Types []int `json:"types,omitempty"`
 }
 
 func (t TraceConfig) validate() error {

@@ -47,6 +47,7 @@ import (
 	"prunesim/internal/pet"
 	"prunesim/internal/pmf"
 	"prunesim/internal/scenario"
+	"prunesim/internal/sched"
 	"prunesim/internal/sim"
 	"prunesim/internal/stats"
 	"prunesim/internal/task"
@@ -206,18 +207,12 @@ func AnalyzeEnergy(res *Result, machines int, p EnergyParams) (*EnergyReport, er
 	return energy.Analyze(res, machines, p)
 }
 
-// HeuristicNames lists all supported mapping heuristics: RR, MET, MCT, KPB,
-// OLB (immediate mode); MM, MSD, MMU, MaxMin, Sufferage (batch,
-// heterogeneous); FCFS-RR, EDF, SJF (batch, homogeneous). The paper
-// evaluates the first ten; OLB, MaxMin and Sufferage are extra baselines
-// from the same literature (Braun et al., Maheswaran et al.).
-func HeuristicNames() []string {
-	return []string{
-		"RR", "MET", "MCT", "KPB", "OLB",
-		"MM", "MSD", "MMU", "MaxMin", "Sufferage",
-		"FCFS-RR", "EDF", "SJF",
-	}
-}
+// HeuristicNames lists all supported mapping heuristics: RR, MET, MCT, KPB
+// (immediate mode); MM, MSD, MMU (batch, heterogeneous); FCFS-RR, EDF, SJF
+// (batch, homogeneous) — the ten the paper evaluates — then OLB
+// (immediate), MaxMin and Sufferage (batch), extra baselines from the same
+// literature (Braun et al., Maheswaran et al.).
+func HeuristicNames() []string { return sched.Names() }
 
 // Scenarios (see internal/scenario): the declarative front end. A Scenario
 // is a JSON-encodable description of one simulation study — workload shape,
